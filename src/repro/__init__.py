@@ -53,7 +53,6 @@ from repro.catalog import (
     paper_schema,
 )
 from repro.core import (
-    DPconvOptimizer,
     DynamicProgrammingOptimizer,
     GeneticConfig,
     GeneticOptimizer,
@@ -78,7 +77,6 @@ from repro.compare import compare_techniques
 from repro.cost import COUT_COST_MODEL, DEFAULT_COST_MODEL, CostModel
 from repro.errors import (
     AdmissionRejected,
-    DPconvUnsupportedError,
     FaultInjected,
     OptimizationBudgetExceeded,
     OptimizationCancelled,
@@ -164,7 +162,6 @@ __all__ = [
     "OptimizerResult",
     "SearchBudget",
     "DynamicProgrammingOptimizer",
-    "DPconvOptimizer",
     "IDPOptimizer",
     "IDPConfig",
     "IDP2Optimizer",
@@ -210,7 +207,6 @@ __all__ = [
     "OptimizationError",
     "OptimizationBudgetExceeded",
     "OptimizationCancelled",
-    "DPconvUnsupportedError",
     "FaultInjected",
     "AdmissionRejected",
     "TenantBudgetExhausted",

@@ -48,28 +48,7 @@ class DynamicProgrammingOptimizer(Optimizer):
         timer: Timer,
     ) -> PlanRecord:
         graph = query.graph
-        space = make_planspace(
-            query,
-            stats,
-            self.cost_model,
-            counters,
-            workers=self.workers,
-            level_parallel=True,
-            bound=self.bound,
-        )
-        try:
-            return self._search_in_space(query, stats, counters, space)
-        finally:
-            space.release()
-
-    def _search_in_space(
-        self,
-        query: Query,
-        stats: CatalogStatistics,
-        counters: SearchCounters,
-        space,
-    ) -> PlanRecord:
-        graph = query.graph
+        space = make_planspace(query, stats, self.cost_model, counters)
         table = space.new_table()
         tracer = current_tracer()
         with maybe_span(tracer, SPAN_DP_LEVEL, level=1) as span:
@@ -130,9 +109,6 @@ class DynamicProgrammingOptimizer(Optimizer):
                         subsets=len(table.level(level)),
                         plans_costed=counters.plans_costed - costed_before,
                     )
-                    level_stats = getattr(space, "last_level_stats", None)
-                    if level_stats:
-                        span.set(**level_stats)
 
         full = table.get(graph.all_mask)
         if full is None:

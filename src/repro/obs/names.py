@@ -28,7 +28,6 @@ __all__ = [
     "SPAN_IDP_LEVEL",
     "SPAN_IDP_ITERATION",
     "SPAN_IDP_SELECT",
-    "SPAN_DPCONV_LEVEL",
     "SPAN_ROBUST_LADDER",
     "SPAN_ROBUST_RUNG",
     "SPAN_SERVICE_OPTIMIZE",
@@ -39,7 +38,6 @@ __all__ = [
     "METRIC_OPTIMIZATIONS_TOTAL",
     "METRIC_OPTIMIZE_SECONDS",
     "METRIC_PLANS_COSTED_TOTAL",
-    "METRIC_DPCONV_BOUND_SKIPS_TOTAL",
     "METRIC_ROBUST_RUNGS_TOTAL",
     "METRIC_PLAN_CACHE_EVENTS_TOTAL",
     "METRIC_PLAN_CACHE_SIZE",
@@ -86,9 +84,6 @@ SPAN_IDP_ITERATION = "idp.iteration"
 #: IDP's greedy selection of the block winner.
 SPAN_IDP_SELECT = "idp.select"
 
-#: One cardinality-layered (min,+) convolution level in the dpconv kernel.
-SPAN_DPCONV_LEVEL = "dpconv.level"
-
 #: The whole fallback-ladder run (one per RobustOptimizer.optimize call).
 SPAN_ROBUST_LADDER = "robust.ladder"
 
@@ -121,10 +116,6 @@ METRIC_OPTIMIZE_SECONDS = "repro_optimize_seconds"
 
 #: Counter: plan alternatives costed, by technique.
 METRIC_PLANS_COSTED_TOTAL = "repro_plans_costed_total"
-
-#: Counter: join pairs skipped whole by the convolution lower bound
-#: (``bound="dpconv"``) before any alternative was costed.
-METRIC_DPCONV_BOUND_SKIPS_TOTAL = "repro_dpconv_bound_skips_total"
 
 #: Counter: fallback-ladder rung executions by technique and outcome.
 METRIC_ROBUST_RUNGS_TOTAL = "repro_robust_rungs_total"
@@ -174,7 +165,6 @@ SPAN_NAMES = frozenset(
         SPAN_IDP_LEVEL,
         SPAN_IDP_ITERATION,
         SPAN_IDP_SELECT,
-        SPAN_DPCONV_LEVEL,
         SPAN_ROBUST_LADDER,
         SPAN_ROBUST_RUNG,
         SPAN_SERVICE_OPTIMIZE,
@@ -190,7 +180,6 @@ METRIC_NAMES = frozenset(
         METRIC_OPTIMIZATIONS_TOTAL,
         METRIC_OPTIMIZE_SECONDS,
         METRIC_PLANS_COSTED_TOTAL,
-        METRIC_DPCONV_BOUND_SKIPS_TOTAL,
         METRIC_ROBUST_RUNGS_TOTAL,
         METRIC_PLAN_CACHE_EVENTS_TOTAL,
         METRIC_PLAN_CACHE_SIZE,

@@ -22,6 +22,16 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HARNESS = os.path.join(REPO_ROOT, "benchmarks", "bench_hot_paths.py")
 COMMITTED = os.path.join(REPO_ROOT, "BENCH_optimize.json")
 
+#: Every arm the harness runs, and so every arm the committed report holds.
+ARMS = {
+    "dp_star_12",
+    "sdp_star_25",
+    "grid_workers",
+    "plan_cache",
+    "sql_workload",
+    "frontdoor_load",
+}
+
 
 def _committed_report() -> dict:
     with open(COMMITTED, encoding="utf-8") as handle:
@@ -40,21 +50,13 @@ def test_bench_harness_end_to_end(tmp_path):
     )
     elapsed = time.perf_counter() - started
     assert completed.returncode == 0, completed.stderr
-    # The big single-query parallel arms dominate; generous but bounded.
+    # The front-door load arms and the SQL suite dominate; generous but
+    # bounded.
     assert elapsed < 300.0, f"harness smoke run took {elapsed:.1f}s"
 
     report = json.loads(output.read_text())
     benches = report["benchmarks"]
-    assert set(benches) == {
-        "dp_star_12",
-        "sdp_star_25",
-        "grid_workers",
-        "dp_star_15_parallel",
-        "sdp_star_50_parallel",
-        "plan_cache",
-        "sql_workload",
-        "frontdoor_load",
-    }
+    assert set(benches) == ARMS
     # Search counters are deterministic: they only move when the search
     # itself changes, so the smoke run pins them.
     assert benches["dp_star_12"]["plans_costed"] == 78871
@@ -211,6 +213,7 @@ class TestCompareReports:
 def test_committed_report_matches_current_counters():
     """The committed BENCH_optimize.json must track the current search."""
     benches = _committed_report()["benchmarks"]
+    assert set(benches) == ARMS
     assert benches["dp_star_12"]["plans_costed"] == 78871
     assert benches["sdp_star_25"]["plans_costed"] == 157472
     assert benches["grid_workers"]["identical_outcomes"] is True

@@ -38,8 +38,11 @@ class TestTechniqueResolution:
         assert repro.resolve_technique(spelled) == resolved
 
     def test_unknown_technique_lists_known(self):
-        with pytest.raises(OptimizationError, match="known:"):
-            repro.resolve_technique("postgres")
+        # "dpconv" named a technique that was removed; it must fail the
+        # same way as any other unknown name.
+        for name in ("postgres", "dpconv"):
+            with pytest.raises(OptimizationError, match="known:"):
+                repro.resolve_technique(name)
 
 
 class TestFacade:

@@ -6,24 +6,28 @@ produce the *same search* as the preserved eager object-graph kernel
 (:mod:`repro.core.reference`) — bit-identical winning cost, identical plan
 tree, identical counter values. These tests sweep randomized chain, star,
 and clique instances (<= 10 relations, several workload seeds) through
-DP, SDP, and IDP under both kernels and compare everything observable.
+DP, SDP, and IDP under both kernels and compare everything observable —
+under the default cost model and under C_out
+(:data:`repro.cost.COUT_COST_MODEL`), whose branches both kernels carry.
 
-The same contract extends to the level-parallel driver
-(:mod:`repro.core.parallel`): for any worker count — including a real
-forked pool on a single-core host — DP and SDP must match the serial
-fast kernel bit-for-bit, and techniques that cannot level-parallelize
-(IDP) must silently run the serial kernel under ``REPRO_KERNEL=parallel``.
+The kernel registry is checked here too: :data:`repro.core.kernel.KERNELS`
+is the single source for ``kernel_name`` errors, ``sdp-bench
+--list-kernels`` and the kernel list in ``docs/api.md``.
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
 from repro.bench.workloads import WorkloadSpec, make_query
 from repro.catalog import SchemaBuilder, analyze
 from repro.core.base import SearchBudget
-from repro.core.kernel import kernel_name, make_planspace
+from repro.core.kernel import KERNELS, kernel_name, make_planspace
 from repro.core.registry import make_optimizer
+from repro.cost import COUT_COST_MODEL
+from repro.errors import OptimizationError
 
 BUDGET = SearchBudget(max_seconds=60.0)
 
@@ -77,8 +81,8 @@ def serialize(plan) -> tuple:
     )
 
 
-def run(technique: str, query, stats, kernel: str):
-    optimizer = make_optimizer(technique, budget=BUDGET)
+def run(technique: str, query, stats, kernel: str, cost_model=None):
+    optimizer = make_optimizer(technique, budget=BUDGET, cost_model=cost_model)
     # Force the kernel through the same seam production uses.
     import repro.core.kernel as kernel_mod
 
@@ -109,59 +113,7 @@ def test_kernels_agree(topology, size, technique, eq_schema, eq_stats):
         assert fast.modeled_memory_mb == reference.modeled_memory_mb, label
 
 
-#: Explicit counts force the parallel driver even on a single-core host:
-#: 1 exercises the in-process partition/merge path, 2 and 4 a real pool.
-WORKER_COUNTS = (1, 2, 4)
-
-
-@pytest.mark.parametrize("topology,size", GRAPHS, ids=[f"{t}-{s}" for t, s in GRAPHS])
-@pytest.mark.parametrize("technique", ("DP", "SDP"))
-def test_parallel_driver_agrees(topology, size, technique, eq_schema, eq_stats):
-    spec = WorkloadSpec(topology, size)
-    for instance in (0, 1):
-        query = make_query(spec, eq_schema, instance)
-        serial = make_optimizer(technique, budget=BUDGET).optimize(query, eq_stats)
-        for workers in WORKER_COUNTS:
-            parallel = make_optimizer(
-                technique, budget=BUDGET, workers=workers
-            ).optimize(query, eq_stats)
-            label = (
-                f"{technique} {spec.label} instance={instance} workers={workers}"
-            )
-            assert parallel.cost == serial.cost, label
-            assert parallel.rows == serial.rows, label
-            assert serialize(parallel.plan) == serialize(serial.plan), label
-            assert parallel.plans_costed == serial.plans_costed, label
-            assert parallel.jcrs_created == serial.jcrs_created, label
-            assert parallel.jcrs_pruned == serial.jcrs_pruned, label
-            assert parallel.modeled_memory_mb == serial.modeled_memory_mb, label
-
-
-def test_parallel_env_kernel_covers_non_level_techniques(eq_schema, eq_stats):
-    # IDP is not level-synchronous, so REPRO_KERNEL=parallel must hand it
-    # the serial fast kernel — same result, no pool involved.
-    query = make_query(WorkloadSpec("star", 8), eq_schema, 0)
-    fast = run("IDP(4)", query, eq_stats, "fast")
-    parallel = run("IDP(4)", query, eq_stats, "parallel")
-    assert parallel.cost == fast.cost
-    assert serialize(parallel.plan) == serialize(fast.plan)
-    assert parallel.plans_costed == fast.plans_costed
-
-
-def test_parallel_env_kernel_dp_identical(eq_schema, eq_stats):
-    # REPRO_KERNEL=parallel with no explicit worker count resolves via
-    # the auto policy (worker count is host-dependent); the search result
-    # must not be.
-    query = make_query(WorkloadSpec("chain", 8), eq_schema, 0)
-    fast = run("DP", query, eq_stats, "fast")
-    parallel = run("DP", query, eq_stats, "parallel")
-    assert parallel.cost == fast.cost
-    assert serialize(parallel.plan) == serialize(fast.plan)
-    assert parallel.plans_costed == fast.plans_costed
-    assert parallel.jcrs_created == fast.jcrs_created
-
-
-# SQL-first coverage: the same three-kernel contract on queries carrying
+# SQL-first coverage: the same kernel contract on queries carrying
 # selections and interesting orders. The labels pick the plan-space
 # features apart: an equality selection, selections plus an unindexed
 # non-join ORDER BY (enforcer sort only), a range selection plus a
@@ -201,101 +153,55 @@ def test_kernels_agree_on_selections_and_orders(label, technique, tpch):
     assert fast.jcrs_pruned == reference.jcrs_pruned, tag
 
 
-@pytest.mark.parametrize("label", SQL_LABELS)
-@pytest.mark.parametrize("technique", ("DP", "SDP"))
-def test_parallel_driver_agrees_on_selections_and_orders(label, technique, tpch):
-    _, stats, queries = tpch
-    query = queries[label]
-    serial = make_optimizer(technique, budget=BUDGET).optimize(query, stats)
-    for workers in (1, 2):
-        parallel = make_optimizer(
-            technique, budget=BUDGET, workers=workers
-        ).optimize(query, stats)
-        tag = f"{technique} {label} workers={workers}"
-        assert parallel.cost == serial.cost, tag
-        assert serialize(parallel.plan) == serialize(serial.plan), tag
-        assert parallel.plans_costed == serial.plans_costed, tag
-
-
-# The dpconv kernel's layered (min,+) convolution is exact only under a
-# C_out cost model; inside that regime it must reproduce exhaustive DP's
-# search bit-for-bit — cost, plan tree, and counters — across every
-# topology, with the fast and reference kernels (also in their C_out
-# branches) as the second and third witnesses.
-
-
-def run_cout(technique: str, query, stats, kernel: str):
-    from repro.cost import COUT_COST_MODEL
-
-    optimizer = make_optimizer(
-        technique, budget=BUDGET, cost_model=COUT_COST_MODEL
-    )
-    import repro.core.kernel as kernel_mod
-
-    monkey = pytest.MonkeyPatch()
-    monkey.setenv(kernel_mod.KERNEL_ENV, kernel)
-    try:
-        return optimizer.optimize(query, stats)
-    finally:
-        monkey.undo()
+# Under C_out (plan cost = sum of intermediate cardinalities) both kernels
+# switch to their one-alternative-per-pair branches; those branches must
+# agree bit-for-bit as well.
 
 
 @pytest.mark.parametrize("topology,size", GRAPHS, ids=[f"{t}-{s}" for t, s in GRAPHS])
 @pytest.mark.parametrize("technique", TECHNIQUES)
-def test_dpconv_kernel_agrees_under_cout(
+def test_kernels_agree_under_cout(
     topology, size, technique, eq_schema, eq_stats
 ):
     spec = WorkloadSpec(topology, size)
     for instance in INSTANCES:
         query = make_query(spec, eq_schema, instance)
-        dpconv = run_cout(technique, query, eq_stats, "dpconv")
-        fast = run_cout(technique, query, eq_stats, "fast")
-        reference = run_cout(technique, query, eq_stats, "reference")
+        fast = run(technique, query, eq_stats, "fast", COUT_COST_MODEL)
+        reference = run(technique, query, eq_stats, "reference", COUT_COST_MODEL)
 
         label = f"{technique} {spec.label} instance={instance}"
-        assert dpconv.cost == fast.cost == reference.cost, label
-        assert dpconv.rows == fast.rows, label
-        assert serialize(dpconv.plan) == serialize(fast.plan), label
-        assert serialize(dpconv.plan) == serialize(reference.plan), label
-        assert dpconv.plans_costed == fast.plans_costed, label
-        assert dpconv.plans_costed == reference.plans_costed, label
-        assert dpconv.jcrs_created == fast.jcrs_created, label
-        assert dpconv.jcrs_pruned == fast.jcrs_pruned, label
-        assert dpconv.modeled_memory_mb == fast.modeled_memory_mb, label
+        assert fast.cost == reference.cost, label
+        assert fast.rows == reference.rows, label
+        assert serialize(fast.plan) == serialize(reference.plan), label
+        assert fast.plans_costed == reference.plans_costed, label
+        assert fast.jcrs_created == reference.jcrs_created, label
+        assert fast.jcrs_pruned == reference.jcrs_pruned, label
+        assert fast.modeled_memory_mb == reference.modeled_memory_mb, label
 
 
-def test_dpconv_technique_matches_dp_under_cout(eq_schema, eq_stats):
-    # technique="DPconv" (which defaults its model to C_out) against DP
-    # under the same model: the winning cost must be bit-identical.
-    from repro.cost import COUT_COST_MODEL
+@pytest.mark.parametrize("kernel", tuple(KERNELS))
+def test_cout_cost_is_sum_of_intermediate_cardinalities(
+    kernel, eq_schema, eq_stats
+):
+    """C_out semantics: free base scans, each join adds its output rows."""
 
-    for topology, size in GRAPHS:
+    def check(node) -> float:
+        if node.left is None:
+            assert node.cost == 0.0
+            return 0.0
+        if node.right is None:  # the ORDER BY sort is free under C_out
+            assert node.method == "Sort"
+            assert node.cost == check(node.left)
+            return node.cost
+        assert node.method == "HashJoin"
+        expected = (check(node.left) + check(node.right)) + node.rows
+        assert node.cost == expected
+        return expected
+
+    for topology, size in (("chain", 8), ("star", 8), ("clique", 6)):
         query = make_query(WorkloadSpec(topology, size), eq_schema, 0)
-        dp = make_optimizer(
-            "DP", budget=BUDGET, cost_model=COUT_COST_MODEL
-        ).optimize(query, eq_stats)
-        dpconv = make_optimizer("DPconv", budget=BUDGET).optimize(
-            query, eq_stats
-        )
-        label = f"{topology}-{size}"
-        assert dpconv.cost == dp.cost, label
-        assert serialize(dpconv.plan) == serialize(dp.plan), label
-        assert dpconv.plans_costed == dp.plans_costed, label
-
-
-def test_dpconv_kernel_rejects_non_cout_models(eq_schema, eq_stats):
-    from repro.errors import DPconvUnsupportedError
-
-    query = make_query(WorkloadSpec("chain", 5), eq_schema, 0)
-    # Via the environment seam, with the (non-C_out) default model.
-    with pytest.raises(DPconvUnsupportedError):
-        run("DP", query, eq_stats, "dpconv")
-    # Via the technique registry with an explicit non-C_out model.
-    from repro.cost import DEFAULT_COST_MODEL
-
-    optimizer = make_optimizer("DPconv", cost_model=DEFAULT_COST_MODEL)
-    with pytest.raises(DPconvUnsupportedError):
-        optimizer.optimize(query, eq_stats)
+        result = run("DP", query, eq_stats, kernel, COUT_COST_MODEL)
+        assert check(result.plan) == result.cost
 
 
 def test_kernel_env_selects_reference(monkeypatch):
@@ -305,6 +211,11 @@ def test_kernel_env_selects_reference(monkeypatch):
     assert kernel_name() == "fast"
     monkeypatch.delenv("REPRO_KERNEL")
     assert kernel_name() == "fast"
+    # Names of removed kernels are rejected loudly, never mapped to fast.
+    for removed in ("parallel", "dpconv"):
+        monkeypatch.setenv("REPRO_KERNEL", removed)
+        with pytest.raises(OptimizationError, match=r"\('fast', 'reference'\)"):
+            kernel_name()
 
 
 def test_explicit_kernel_argument_overrides_env(monkeypatch, eq_schema, eq_stats):
@@ -322,3 +233,33 @@ def test_explicit_kernel_argument_overrides_env(monkeypatch, eq_schema, eq_stats
     assert isinstance(space, PlanSpace)
     space = make_planspace(query, eq_stats, model, counters)
     assert isinstance(space, ReferencePlanSpace)
+
+
+class TestKernelRegistry:
+    def test_registry_names(self):
+        assert tuple(KERNELS) == ("fast", "reference")
+        for name, description in KERNELS.items():
+            assert kernel_name(name) == name
+            assert description  # every kernel carries a one-line description
+
+    def test_unknown_kernel_error_lists_registry(self):
+        with pytest.raises(OptimizationError) as excinfo:
+            kernel_name("bogus")
+        for name in KERNELS:
+            assert name in str(excinfo.value)
+
+    def test_docs_render_the_same_registry(self):
+        api_md = os.path.join(
+            os.path.dirname(__file__), "..", "docs", "api.md"
+        )
+        with open(api_md, encoding="utf-8") as handle:
+            text = handle.read()
+        for name in KERNELS:
+            assert f"`{name}`" in text, f"kernel {name!r} missing from docs/api.md"
+
+    def test_list_kernels_cli(self, capsys):
+        from repro.bench.cli import main
+
+        assert main(["--list-kernels"]) == 0
+        out = capsys.readouterr().out
+        assert [line.split()[0] for line in out.splitlines()] == list(KERNELS)

@@ -84,29 +84,6 @@ class TestLayering:
         }, "RL001")
         assert findings == []
 
-    def test_dpconv_module_is_layer_covered(self, tmp_path):
-        # Layer ranks are keyed by subpackage, so a new core/ module
-        # (core/dpconv.py) is in scope automatically: its real imports
-        # (skyline, cost, errors) point down and are clean, while an
-        # upward edge in the same file fires without any registration.
-        findings = lint_tree(tmp_path, {
-            "src/repro/core/dpconv.py": """\
-                from repro.cost.cout import COUT_COST_MODEL
-                from repro.errors import DPconvUnsupportedError
-                from repro.skyline.dominance import bound_covered
-            """,
-        }, "RL001")
-        assert findings == []
-
-        findings = lint_tree(tmp_path, {
-            "src/repro/core/dpconv.py": """\
-                from repro.skyline.dominance import bound_covered
-                from repro.service.frontdoor import FrontDoor
-            """,
-        }, "RL001")
-        assert len(findings) == 1
-        assert "service" in findings[0].message
-
 
 # ---------------------------------------------------------------- RL002
 
@@ -206,19 +183,6 @@ class TestDeterminism:
             """,
         }, "RL002")
         assert findings == []
-
-    def test_dpconv_module_is_determinism_covered(self, tmp_path):
-        # core/dpconv.py is not the kernel-selection module, so the env
-        # exemption does not extend to it — an env read there fires.
-        findings = lint_tree(tmp_path, {
-            "src/repro/core/dpconv.py": """\
-                import os
-
-                LAYERS = os.environ.get("REPRO_DPCONV_LAYERS")
-            """,
-        }, "RL002")
-        assert len(findings) == 1
-        assert findings[0].path.endswith("dpconv.py")
 
 
 # ---------------------------------------------------------------- RL003
@@ -358,7 +322,7 @@ class TestBudgetCharging:
         assert [f for f in waived if f.path.endswith("gen2.py")] == []
 
     def test_chunked_convolution_charge_clean(self, tmp_path):
-        # The dpconv kernel's shape: pair enumeration buckets work into
+        # A layered-convolution shape: pair enumeration buckets work into
         # layers, the (min,+) combine loop charges note_plans_costed in
         # chunks rather than per pair. The chunked charge is a charge —
         # the loop must stay clean.
@@ -734,41 +698,6 @@ class TestServiceOps:
         }, "RL008")
         assert findings == []
 
-    def test_core_parallel_in_scope(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/core/parallel.py": """\
-                def collect(self):
-                    return self.outbox_queue.get()
-            """,
-        }, "RL008")
-        assert len(findings) == 1
-        assert ".get()" in findings[0].message
-
-    def test_core_parallel_process_join_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/core/parallel.py": """\
-                def shutdown(self):
-                    for worker in self.workers:
-                        worker.process.join()
-            """,
-        }, "RL008")
-        assert len(findings) == 1
-        assert "shutdown" in findings[0].message
-
-    def test_core_parallel_bounded_ops_clean(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/core/parallel.py": """\
-                def collect(self):
-                    self.inbox_queue.put(("level",), timeout=60.0)
-                    return self.outbox_queue.get(timeout=0.5)
-
-                def shutdown(self):
-                    for worker in self.workers:
-                        worker.process.join(timeout=5.0)
-            """,
-        }, "RL008")
-        assert findings == []
-
     def test_other_core_modules_still_out_of_scope(self, tmp_path):
         findings = lint_tree(tmp_path, {
             "src/repro/core/dp.py": """\
@@ -996,7 +925,7 @@ class TestLockOrder:
 class TestResourceLifecycle:
     def test_early_return_leaks_segment(self, tmp_path):
         findings = lint_tree(tmp_path, {
-            "src/repro/plans/store.py": """\
+            "src/repro/service/shm.py": """\
                 from multiprocessing import shared_memory
 
                 def grab(name, fast):
@@ -1013,7 +942,7 @@ class TestResourceLifecycle:
 
     def test_close_without_unlink_on_owner_fires(self, tmp_path):
         findings = lint_tree(tmp_path, {
-            "src/repro/plans/store.py": """\
+            "src/repro/service/shm.py": """\
                 from multiprocessing import shared_memory
 
                 def grab(name):
@@ -1027,7 +956,7 @@ class TestResourceLifecycle:
 
     def test_exception_path_leak_fires(self, tmp_path):
         findings = lint_tree(tmp_path, {
-            "src/repro/plans/store.py": """\
+            "src/repro/service/shm.py": """\
                 from multiprocessing import shared_memory
 
                 def grab(name, size):
@@ -1043,7 +972,7 @@ class TestResourceLifecycle:
 
     def test_try_finally_cleanup_clean(self, tmp_path):
         findings = lint_tree(tmp_path, {
-            "src/repro/plans/store.py": """\
+            "src/repro/service/shm.py": """\
                 from multiprocessing import shared_memory
 
                 def grab(name, fill):
@@ -1060,7 +989,7 @@ class TestResourceLifecycle:
 
     def test_escape_to_attribute_transfers_ownership(self, tmp_path):
         findings = lint_tree(tmp_path, {
-            "src/repro/plans/store.py": """\
+            "src/repro/service/shm.py": """\
                 from multiprocessing import shared_memory
 
                 class Store:
@@ -1074,7 +1003,7 @@ class TestResourceLifecycle:
 
     def test_attach_handle_needs_close_only(self, tmp_path):
         findings = lint_tree(tmp_path, {
-            "src/repro/plans/store.py": """\
+            "src/repro/service/shm.py": """\
                 from multiprocessing import shared_memory
 
                 def peek(name):
@@ -1088,7 +1017,7 @@ class TestResourceLifecycle:
 
     def test_view_alive_when_buffer_closes_fires(self, tmp_path):
         findings = lint_tree(tmp_path, {
-            "src/repro/plans/store.py": """\
+            "src/repro/service/shm.py": """\
                 def snapshot(seg):
                     view = memoryview(seg.buf)
                     seg.close()
@@ -1100,7 +1029,7 @@ class TestResourceLifecycle:
 
     def test_view_released_before_close_clean(self, tmp_path):
         findings = lint_tree(tmp_path, {
-            "src/repro/plans/store.py": """\
+            "src/repro/service/shm.py": """\
                 def snapshot(seg):
                     view = memoryview(seg.buf)
                     view.release()
@@ -1153,7 +1082,7 @@ class TestResourceLifecycle:
 
     def test_rebind_while_obligated_fires(self, tmp_path):
         findings = lint_tree(tmp_path, {
-            "src/repro/plans/store.py": """\
+            "src/repro/service/shm.py": """\
                 from multiprocessing import shared_memory
 
                 def churn(name):
@@ -1309,7 +1238,7 @@ class TestCrossProcessErrors:
                 class ReproError(Exception):
                     pass
             """,
-            "src/repro/core/parallel.py": """\
+            "src/repro/service/pool.py": """\
                 from multiprocessing import Process
 
                 class Boom(Exception):
@@ -1334,7 +1263,7 @@ class TestCrossProcessErrors:
                 class ReproError(Exception):
                     pass
             """,
-            "src/repro/core/parallel.py": """\
+            "src/repro/service/pool.py": """\
                 from multiprocessing import Process
 
                 class Boom(Exception):
@@ -1365,7 +1294,7 @@ class TestCrossProcessErrors:
                         super().__init__(index)
                         self.index = index
             """,
-            "src/repro/core/parallel.py": """\
+            "src/repro/service/pool.py": """\
                 from multiprocessing import Process
 
                 from repro.errors import WorkerFault
@@ -1387,7 +1316,7 @@ class TestCrossProcessErrors:
                 class ReproError(Exception):
                     pass
             """,
-            "src/repro/core/parallel.py": """\
+            "src/repro/service/pool.py": """\
                 from multiprocessing import Process
 
                 class Boom(Exception):
@@ -1500,7 +1429,7 @@ class TestConcurrencyNegativeSweep:
         pattern = textwrap.dedent(self.CLEANUP_PATTERNS[index]).format(i=index)
         source = "from multiprocessing import shared_memory\n\n" + pattern
         findings = lint_tree(
-            tmp_path, {"src/repro/plans/store.py": source}, "RL010")
+            tmp_path, {"src/repro/service/shm.py": source}, "RL010")
         assert findings == [], [f.render() for f in findings]
 
     def test_all_checkers_silent_on_correct_concurrent_module(self, tmp_path):
@@ -1542,7 +1471,7 @@ class TestConcurrencyNegativeSweep:
                     def stop(self):
                         self._stop.set()
             """,
-            "src/repro/core/parallel.py": """\
+            "src/repro/service/pool.py": """\
                 from multiprocessing import Process, shared_memory
 
                 from repro.errors import WorkerFault
