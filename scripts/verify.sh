@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Full pre-merge verification: static analysis, the tier-1 test suite,
-# the SQL workload smoke, the perfbench tests, the hot-path regression
-# guard, and the front-door overload smoke, in fail-fast order (cheapest
-# first).
+# Full pre-merge verification: static analysis, the tier-1 test suite
+# (which includes the TPC-H-lite SQL front-door sweep), the perfbench
+# tests, the hot-path regression guard, and the front-door overload
+# smoke, in fail-fast order (cheapest first).
 #
 #   scripts/verify.sh            # from the repo root
 #
@@ -21,47 +21,27 @@ stage_done() {
   STAGE_T0=$SECONDS
 }
 
-echo "== 1/6 static analysis (python -m repro.lint) =="
+echo "== 1/5 static analysis (python -m repro.lint) =="
 python -m repro.lint src/
 
 stage_done
 
-echo "== 2/6 tier-1 tests (pytest) =="
+echo "== 2/5 tier-1 tests (pytest) =="
 python -m pytest
 
 stage_done
 
-echo "== 3/6 SQL workload smoke (TPC-H-lite through the front door) =="
-python - <<'SMOKE'
-import repro
-from repro.plans.validate import validate_plan
-
-schema = repro.tpch_lite_schema()
-for (label, sql), query in zip(repro.TPCH_LITE_SQL,
-                               repro.tpch_lite_queries(schema)):
-    from_sql = repro.optimize(sql, schema=schema)
-    from_query = repro.optimize(query)
-    assert from_sql.cost == from_query.cost, label
-    assert from_sql.plans_costed == from_query.plans_costed, label
-    validate_plan(from_sql.plan, query.graph)
-    assert from_sql.tree() is not None      # provenance carries the query
-    print(f"  {label}: sql==query, plan valid "
-          f"(cost={from_sql.cost:.1f}, plans_costed={from_sql.plans_costed})")
-SMOKE
-
-stage_done
-
-echo "== 4/6 perfbench tests (python -m pytest perfbench/tests) =="
+echo "== 3/5 perfbench tests (python -m pytest perfbench/tests) =="
 python -m pytest perfbench/tests
 
 stage_done
 
-echo "== 5/6 hot-path regression guard (sdp-bench --check) =="
+echo "== 4/5 hot-path regression guard (sdp-bench --check) =="
 python -m repro.bench --check BENCH_optimize.json
 
 stage_done
 
-echo "== 6/6 overload smoke (pytest -m stress) =="
+echo "== 5/5 overload smoke (pytest -m stress) =="
 python -m pytest -m stress
 
 stage_done

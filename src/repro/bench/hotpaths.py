@@ -263,7 +263,7 @@ def bench_frontdoor(schema, stats) -> dict:
 def run_harness(repeats: int = 5, workers: int | None = None) -> dict:
     """Run every scenario and return the report dictionary."""
     # At least 2 so the grid scenario really asks for parallelism; on a
-    # single-core box execution_mode() falls back to serial for both runs
+    # single-core box execution_plan() falls back to serial for both runs
     # (speedup ~1x by construction) while outcome identity is still
     # exercised and recorded.
     workers = workers or max(2, min(4, os.cpu_count() or 1))

@@ -9,9 +9,8 @@ Every optimizer builds its plan space through :func:`make_planspace`, so
 the whole stack (DP/SDP/IDP/IDP2/GOO/II-2PO/GEQO, the robust ladder, the
 service layer, the bench harness) can be flipped to the reference oracle
 with ``REPRO_KERNEL=reference`` — which is exactly what the kernel
-equivalence tests do to assert identical winning costs, plan shapes, and
-counter values, under the default cost model and under C_out
-(:data:`repro.cost.COUT_COST_MODEL`) alike.
+equivalence tests do to assert identical winning costs, plan shapes and
+counter values.
 
 This module is the single place the determinism rules allow environment
 reads: kernel resolution (``REPRO_KERNEL``) happens here, never inside a
@@ -50,10 +49,9 @@ KERNELS: dict[str, str] = {
 }
 
 
-def kernel_name(kernel: str | None = None) -> str:
-    """Resolve the kernel to use: explicit arg, else env, else ``fast``."""
-    name = kernel if kernel is not None else os.environ.get(KERNEL_ENV, "fast")
-    name = name.strip().lower()
+def kernel_name() -> str:
+    """Resolve the kernel to use: ``REPRO_KERNEL``, else ``fast``."""
+    name = os.environ.get(KERNEL_ENV, "fast").strip().lower()
     if name not in KERNELS:
         raise OptimizationError(
             f"unknown search kernel {name!r} "
@@ -62,20 +60,9 @@ def kernel_name(kernel: str | None = None) -> str:
     return name
 
 
-def make_planspace(
-    query,
-    stats,
-    cost_model,
-    counters: SearchCounters,
-    kernel: str | None = None,
-):
-    """Build the plan space for the selected kernel.
-
-    Args:
-        kernel: a :data:`KERNELS` name; None reads ``REPRO_KERNEL``
-            (defaulting to fast).
-    """
-    if kernel_name(kernel) == "reference":
+def make_planspace(query, stats, cost_model, counters: SearchCounters):
+    """Build the plan space for the kernel ``REPRO_KERNEL`` selects."""
+    if kernel_name() == "reference":
         from repro.core.reference import ReferencePlanSpace
 
         return ReferencePlanSpace(query, stats, cost_model, counters)

@@ -40,11 +40,6 @@ and integer entry ids:
 Every costed alternative is still charged to the search counters (the
 paper's "Costing (in plans)" overhead) with exactly the same totals as the
 reference kernel in :mod:`repro.core.reference`.
-
-Under the **C_out** cost model (``cost_model.supports_dpconv_exact``,
-e.g. :data:`repro.cost.COUT_COST_MODEL`) base relations cost 0 (a single
-sequential scan, no ordered access paths) and each join has a single
-alternative costing ``(left + right) + |output|``.
 """
 
 from __future__ import annotations
@@ -96,8 +91,6 @@ class PlanSpace:
         cost_model: CostModel,
         counters: SearchCounters,
     ):
-        #: C_out regime: see the module docstring.
-        self._cout = cost_model.supports_dpconv_exact
         self.query = query
         self.graph = query.graph
         self.cm = cost_model
@@ -240,19 +233,6 @@ class PlanSpace:
         jcr, created = table.get_or_create(mask)
         if created:
             self.counters.note_jcr_created()
-        if self._cout:
-            # C_out regime: base relations are free and carry no
-            # interesting orders — a single zero-cost sequential scan
-            # (rows still reflect any selections via the estimator).
-            self.counters.note_plans_costed()
-            if jcr.improves(None, 0.0):
-                eid = table.store.add(
-                    M_SEQ_SCAN, 0.0, jcr.rows, rel=relation_index
-                )
-                _, new_slot = jcr.put(None, None, 0.0, eid)
-                if new_slot:
-                    self.counters.note_retained()
-            return jcr
         useful = self.useful(mask)
         stats_table = self._tables[relation_index]
         cm = self.cm
@@ -389,9 +369,6 @@ class PlanSpace:
         reference kernel. Pairs that overlap or are not connected are
         skipped (cartesian products are not explored).
         """
-        if self._cout:
-            self._join_batch_cout(table, pairs)
-            return
         graph = self.graph
         connecting = graph.connecting
         by_mask = table._by_mask
@@ -754,77 +731,6 @@ class PlanSpace:
         if pending_costed:
             note_plans_costed(pending_costed)
 
-    def _join_batch_cout(self, table: JCRTable, pairs) -> None:
-        """C_out regime join loop: one alternative per connected pair.
-
-        Cost is ``(left.best + right.best) + |output|``, stored as a hash
-        join of the cheapest inputs. No ordered slots, no merge/sort/index
-        alternatives: interesting orders do not exist under C_out.
-        """
-        connecting = self.graph.connecting
-        by_mask = table._by_mask
-        get_or_create = table.get_or_create
-        counters = self.counters
-        note_plans_costed = counters.note_plans_costed
-        note_retained = counters.note_retained
-        note_jcr_created = counters.note_jcr_created
-        store = table.store
-        st_method = store.method
-        st_order = store.order
-        st_left = store.left
-        st_right = store.right
-        st_rel = store.rel
-        st_eclass = store.eclass
-        st_rows = store.rows
-        st_cost = store.cost
-        pending_costed = 0
-
-        for left, right in pairs:
-            lmask = left.mask
-            rmask = right.mask
-            if lmask & rmask:
-                continue
-            if not connecting(lmask, rmask):
-                continue
-            union = lmask | rmask
-            jcr = by_mask.get(union)
-            if jcr is None:
-                jcr, _ = get_or_create(union)
-                note_jcr_created()
-            out_rows = jcr.rows
-            cost = (left.best_cost + right.best_cost) + out_rows
-            pending_costed += 1
-            slots = jcr.slots
-            index = slots.get(None)
-            if index is None or cost < jcr.slot_costs[index]:
-                entry = len(st_method)
-                st_method.append(M_HASH_JOIN)
-                st_order.append(NO_FIELD)
-                st_left.append(left.best_entry)
-                st_right.append(right.best_entry)
-                st_rel.append(NO_FIELD)
-                st_eclass.append(NO_FIELD)
-                st_rows.append(out_rows)
-                st_cost.append(cost)
-                if index is None:
-                    slots[None] = len(jcr.slot_costs)
-                    jcr.slot_orders.append(None)
-                    jcr.slot_costs.append(cost)
-                    jcr.slot_entries.append(entry)
-                    note_retained()
-                else:
-                    jcr.slot_costs[index] = cost
-                    jcr.slot_entries[index] = entry
-                if cost < jcr.best_cost:
-                    jcr.best_cost = cost
-                    jcr.best_entry = entry
-            if pending_costed >= 1024:
-                note_plans_costed(pending_costed)
-                pending_costed = 0
-
-        if pending_costed:
-            note_plans_costed(pending_costed)
-
     # -- finishing --------------------------------------------------------------
 
     def _final_slot(self, jcr: JCR) -> tuple[float, int, bool]:
@@ -872,28 +778,6 @@ class PlanSpace:
             )
         if self.query.order_by is None:
             return jcr.best
-        if self._cout:
-            # C_out charges only intermediate cardinalities, so the
-            # enforcer sort is free: one costed alternative, same cost.
-            self.counters.note_plans_costed()
-            store = jcr.store
-            eid = store.add(
-                M_SORT,
-                jcr.best_cost,
-                jcr.rows,
-                order=(
-                    self.order_by_key
-                    if self.order_by_key is not None
-                    else NO_FIELD
-                ),
-                left=jcr.best_entry,
-                eclass=(
-                    self.order_by_eclass
-                    if self.order_by_eclass is not None
-                    else NO_FIELD
-                ),
-            )
-            return store.materialize(eid)
         cost, position, wrapped = self._final_slot(jcr)
         entry = jcr.slot_entries[position]
         store = jcr.store
@@ -922,9 +806,6 @@ class PlanSpace:
                 f"finalize() called on incomplete JCR {jcr.mask:#x}"
             )
         if self.query.order_by is None:
-            return jcr.best_cost
-        if self._cout:
-            self.counters.note_plans_costed()
             return jcr.best_cost
         cost, _, _ = self._final_slot(jcr)
         return cost

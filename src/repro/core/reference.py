@@ -202,9 +202,6 @@ class ReferencePlanSpace:
         )
         self.order_by_eclass = query.order_by_eclass
         self.order_by_key = query.order_by_key
-        #: C_out regime (mirrors PlanSpace): zero-cost base scans, one
-        #: join alternative per pair costing inputs + output cardinality.
-        self._cout = cost_model.supports_dpconv_exact
 
         graph = self.graph
         self._tables: list[TableStats] = [
@@ -294,15 +291,6 @@ class ReferencePlanSpace:
         jcr, created = table.get_or_create(mask)
         if created:
             self.counters.note_jcr_created()
-        if self._cout:
-            # C_out: base relations are free, no ordered access paths.
-            self.counters.note_plans_costed()
-            self._offer(
-                jcr,
-                PlanRecord(mask, jcr.rows, 0.0, SEQ_SCAN, rel=relation_index),
-                None,
-            )
-            return jcr
         useful = self.useful(mask)
         stats_table = self._tables[relation_index]
         cm = self.cm
@@ -421,28 +409,6 @@ class ReferencePlanSpace:
         jcr, created = table.get_or_create(union)
         if created:
             self.counters.note_jcr_created()
-        if self._cout:
-            # C_out: a single alternative, inputs plus output cardinality
-            # (the same association order as the fast kernel's branch).
-            out_rows = jcr.rows
-            cost = (left.best_cost + right.best_cost) + out_rows
-            self.counters.note_plans_costed()
-            slots_before = len(jcr.plans)
-            if jcr.improves(None, cost):
-                jcr.add(
-                    PlanRecord(
-                        union,
-                        out_rows,
-                        cost,
-                        HASH_JOIN,
-                        left=left.best,
-                        right=right.best,
-                    ),
-                    None,
-                )
-            if len(jcr.plans) > slots_before:
-                self.counters.note_retained()
-            return jcr
         useful = self.useful(union)
         out_rows = jcr.rows
         cm = self.cm
@@ -652,20 +618,6 @@ class ReferencePlanSpace:
             )
         if self.query.order_by is None:
             return jcr.best
-        if self._cout:
-            # The enforcer sort is free under C_out (no new intermediate
-            # result); one costed alternative, cost unchanged.
-            self.counters.note_plans_costed()
-            best = jcr.best
-            return PlanRecord(
-                jcr.mask,
-                jcr.rows,
-                best.cost,
-                SORT,
-                order=self.order_by_key,
-                left=best,
-                eclass=self.order_by_eclass,
-            )
         final_sort = self._sort_cost(jcr)
         best: PlanRecord | None = None
         for plan in jcr.plans.values():

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.errors import CatalogError
 
-__all__ = ["CostModel", "COUT_COST_MODEL", "DEFAULT_COST_MODEL"]
+__all__ = ["CostModel", "DEFAULT_COST_MODEL"]
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,6 @@ class CostModel:
             on nested-loop rescans (models materialization / caching).
         index_cache_factor: Fraction of index-lookup heap fetches assumed to
             hit cache when the same index is probed repeatedly.
-        supports_dpconv_exact: True switches every kernel into the C_out
-            regime — base relations cost 0, each join costs exactly the
-            output cardinality on top of its inputs, and there are no
-            access-path or interesting-order alternatives. (The name is
-            historical.)
     """
 
     seq_page_cost: float = 1.0
@@ -47,7 +42,6 @@ class CostModel:
     rescan_discount: float = 0.10
     index_cache_factor: float = 0.5
     page_size: int = 8192
-    supports_dpconv_exact: bool = False
 
     def __post_init__(self) -> None:
         for name in (
@@ -71,7 +65,3 @@ class CostModel:
 
 #: Shared default model; treat as read-only.
 DEFAULT_COST_MODEL = CostModel()
-
-#: The C_out cost model: cost of a plan = sum of intermediate result
-#: cardinalities (base relations are free). Treat as read-only.
-COUT_COST_MODEL = CostModel(supports_dpconv_exact=True)

@@ -10,7 +10,7 @@ results in **grid order**, one row per query, one
 first.
 
 Scheduling policy (the serial-vs-pool decision lives in
-:func:`execution_mode`, one source of truth shared with the benchmarks):
+:func:`execution_plan`, one source of truth shared with the benchmarks):
 
 * requested workers are **capped at the machine's CPU count** — the cells
   are CPU-bound, so oversubscribing processes only adds scheduler churn;
@@ -64,7 +64,6 @@ from repro.robust.faults import FaultPlan, WorkerCrashFault
 __all__ = [
     "BatchItem",
     "optimize_many",
-    "execution_mode",
     "execution_plan",
     "shutdown_pool",
     "MIN_PARALLEL_CELLS",
@@ -100,24 +99,16 @@ class BatchItem:
         return self.result is not None
 
 
-def execution_mode(workers: int | None, cells: int) -> tuple[str, int]:
-    """The serial-vs-pool decision: ``("serial" | "pool", effective workers)``.
+def execution_plan(
+    workers: int | None, cells: int
+) -> tuple[str, int, str | None]:
+    """The serial-vs-pool decision and, when serial, why.
 
     Requested ``workers`` (None = CPU count) are capped at the CPU count;
     the pool only runs with at least 2 effective workers and at least
     :data:`MIN_PARALLEL_CELLS` cells, and never with more workers than
     cells. Exposed so benchmarks and tests can assert the decision rather
-    than re-deriving it. (:func:`execution_plan` additionally reports
-    *why* a run stayed serial.)
-    """
-    mode, effective, _reason = execution_plan(workers, cells)
-    return mode, effective
-
-
-def execution_plan(
-    workers: int | None, cells: int
-) -> tuple[str, int, str | None]:
-    """:func:`execution_mode` plus the serial-fallback reason.
+    than re-deriving it.
 
     Returns ``(mode, effective_workers, fallback_reason)`` where the
     reason is None for pool runs, ``"cpu_count"`` when the host cannot
@@ -293,7 +284,7 @@ def optimize_many(
         budget: Per-cell search budget.
         cost_model: Cost-model override.
         workers: Requested process count; ``None`` means the CPU count.
-            The effective mode comes from :func:`execution_mode` — capped
+            The effective mode comes from :func:`execution_plan` — capped
             at the CPU count, serial below 2 workers or
             :data:`MIN_PARALLEL_CELLS` cells.
         robust: Wrap each technique in its fallback ladder
@@ -326,7 +317,7 @@ def optimize_many(
         for query_index in range(len(queries))
         for technique in techniques
     ]
-    mode, effective = execution_mode(workers, len(tasks))
+    mode, effective, _reason = execution_plan(workers, len(tasks))
     context = (queries, stats, budget, cost_model, robust, faults)
 
     with maybe_span(

@@ -6,9 +6,10 @@ produce the *same search* as the preserved eager object-graph kernel
 (:mod:`repro.core.reference`) — bit-identical winning cost, identical plan
 tree, identical counter values. These tests sweep randomized chain, star,
 and clique instances (<= 10 relations, several workload seeds) through
-DP, SDP, and IDP under both kernels and compare everything observable —
-under the default cost model and under C_out
-(:data:`repro.cost.COUT_COST_MODEL`), whose branches both kernels carry.
+DP, SDP and IDP, which cost pairs a level at a time, and through GOO,
+II, 2PO, GEQO and IDP2, which drive ``join`` one pair at a time (II, 2PO
+and GEQO also score walks with ``final_cost``), under both kernels and
+compare everything observable.
 
 The kernel registry is checked here too: :data:`repro.core.kernel.KERNELS`
 is the single source for ``kernel_name`` errors, ``sdp-bench
@@ -24,17 +25,16 @@ import pytest
 from repro.bench.workloads import WorkloadSpec, make_query
 from repro.catalog import SchemaBuilder, analyze
 from repro.core.base import SearchBudget
-from repro.core.kernel import KERNELS, kernel_name, make_planspace
+from repro.core.kernel import KERNELS, kernel_name
 from repro.core.registry import make_optimizer
-from repro.cost import COUT_COST_MODEL
 from repro.errors import OptimizationError
 
 BUDGET = SearchBudget(max_seconds=60.0)
 
-TECHNIQUES = ("DP", "SDP", "IDP(4)")
+TECHNIQUES = ("DP", "SDP", "IDP(4)", "GOO", "II", "2PO", "GEQO", "IDP2(7)")
 
 # (topology, size) cells; clique kept smallest — its DP pair count grows
-# fastest and this sweep runs 2 kernels x 3 techniques per instance.
+# fastest and this sweep runs 2 kernels x 8 techniques per instance.
 GRAPHS = (
     ("chain", 8),
     ("chain", 10),
@@ -81,8 +81,8 @@ def serialize(plan) -> tuple:
     )
 
 
-def run(technique: str, query, stats, kernel: str, cost_model=None):
-    optimizer = make_optimizer(technique, budget=BUDGET, cost_model=cost_model)
+def run(technique: str, query, stats, kernel: str):
+    optimizer = make_optimizer(technique, budget=BUDGET)
     # Force the kernel through the same seam production uses.
     import repro.core.kernel as kernel_mod
 
@@ -153,57 +153,6 @@ def test_kernels_agree_on_selections_and_orders(label, technique, tpch):
     assert fast.jcrs_pruned == reference.jcrs_pruned, tag
 
 
-# Under C_out (plan cost = sum of intermediate cardinalities) both kernels
-# switch to their one-alternative-per-pair branches; those branches must
-# agree bit-for-bit as well.
-
-
-@pytest.mark.parametrize("topology,size", GRAPHS, ids=[f"{t}-{s}" for t, s in GRAPHS])
-@pytest.mark.parametrize("technique", TECHNIQUES)
-def test_kernels_agree_under_cout(
-    topology, size, technique, eq_schema, eq_stats
-):
-    spec = WorkloadSpec(topology, size)
-    for instance in INSTANCES:
-        query = make_query(spec, eq_schema, instance)
-        fast = run(technique, query, eq_stats, "fast", COUT_COST_MODEL)
-        reference = run(technique, query, eq_stats, "reference", COUT_COST_MODEL)
-
-        label = f"{technique} {spec.label} instance={instance}"
-        assert fast.cost == reference.cost, label
-        assert fast.rows == reference.rows, label
-        assert serialize(fast.plan) == serialize(reference.plan), label
-        assert fast.plans_costed == reference.plans_costed, label
-        assert fast.jcrs_created == reference.jcrs_created, label
-        assert fast.jcrs_pruned == reference.jcrs_pruned, label
-        assert fast.modeled_memory_mb == reference.modeled_memory_mb, label
-
-
-@pytest.mark.parametrize("kernel", tuple(KERNELS))
-def test_cout_cost_is_sum_of_intermediate_cardinalities(
-    kernel, eq_schema, eq_stats
-):
-    """C_out semantics: free base scans, each join adds its output rows."""
-
-    def check(node) -> float:
-        if node.left is None:
-            assert node.cost == 0.0
-            return 0.0
-        if node.right is None:  # the ORDER BY sort is free under C_out
-            assert node.method == "Sort"
-            assert node.cost == check(node.left)
-            return node.cost
-        assert node.method == "HashJoin"
-        expected = (check(node.left) + check(node.right)) + node.rows
-        assert node.cost == expected
-        return expected
-
-    for topology, size in (("chain", 8), ("star", 8), ("clique", 6)):
-        query = make_query(WorkloadSpec(topology, size), eq_schema, 0)
-        result = run("DP", query, eq_stats, kernel, COUT_COST_MODEL)
-        assert check(result.plan) == result.cost
-
-
 def test_kernel_env_selects_reference(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL", "reference")
     assert kernel_name() == "reference"
@@ -218,33 +167,18 @@ def test_kernel_env_selects_reference(monkeypatch):
             kernel_name()
 
 
-def test_explicit_kernel_argument_overrides_env(monkeypatch, eq_schema, eq_stats):
-    from repro.core.base import SearchCounters
-    from repro.core.planspace import PlanSpace
-    from repro.core.reference import ReferencePlanSpace
-    from repro.cost.model import CostModel
-    from repro.util.timer import Timer
-
-    query = make_query(WorkloadSpec("chain", 4), eq_schema, 0)
-    counters = SearchCounters(BUDGET, Timer())
-    model = CostModel()
-    monkeypatch.setenv("REPRO_KERNEL", "reference")
-    space = make_planspace(query, eq_stats, model, counters, kernel="fast")
-    assert isinstance(space, PlanSpace)
-    space = make_planspace(query, eq_stats, model, counters)
-    assert isinstance(space, ReferencePlanSpace)
-
-
 class TestKernelRegistry:
-    def test_registry_names(self):
+    def test_registry_names(self, monkeypatch):
         assert tuple(KERNELS) == ("fast", "reference")
         for name, description in KERNELS.items():
-            assert kernel_name(name) == name
+            monkeypatch.setenv("REPRO_KERNEL", name)
+            assert kernel_name() == name
             assert description  # every kernel carries a one-line description
 
-    def test_unknown_kernel_error_lists_registry(self):
+    def test_unknown_kernel_error_lists_registry(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "bogus")
         with pytest.raises(OptimizationError) as excinfo:
-            kernel_name("bogus")
+            kernel_name()
         for name in KERNELS:
             assert name in str(excinfo.value)
 

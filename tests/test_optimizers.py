@@ -26,6 +26,8 @@ from repro.core.planspace import PlanSpace
 from repro.core.table import JCRTable
 from repro.cost.model import DEFAULT_COST_MODEL
 from repro.errors import OptimizationBudgetExceeded, OptimizationError
+from repro.obs import capture
+from repro.obs.names import SPAN_SDP_PRUNE
 from repro.plans import validate_plan
 from repro.query import JoinGraph, Query, cycle_joins, star_joins
 from repro.util.bitset import subsets_of
@@ -199,13 +201,21 @@ class TestSDP:
         assert opt1.jcrs_created >= opt2.jcrs_created
 
     def test_trace_events(self, small_schema, small_stats):
-        events = []
         query = make_star_query(small_schema, 6)
-        SDPOptimizer(trace=events.append).optimize(query, small_stats)
-        assert events
-        for event in events:
-            assert event["built"] == event["prune_group"] + event["free_group"]
-            assert event["survivors"] <= event["built"]
+        with capture() as exporter:
+            SDPOptimizer().optimize(query, small_stats)
+        levels = {span.span_id: span for span in exporter.spans}
+        prunes = [
+            span
+            for span in exporter.spans
+            if span.name == SPAN_SDP_PRUNE and "partitions" in span.attributes
+        ]
+        assert prunes
+        for span in prunes:
+            event = span.attributes
+            built = levels[span.parent_id].attributes["built"]
+            assert built == event["prune_group"] + event["free_group"]
+            assert event["survivors"] <= built
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

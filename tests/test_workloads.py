@@ -130,16 +130,17 @@ class TestTemplates:
     def test_sql_text_front_door_matches_parsed(
         self, lite_schema, lite_stats, lite_queries
     ):
-        # One selection-bearing, one order-bearing template through both
-        # entry forms (the full 13-template sweep runs in verify.sh and
-        # the sql_workload bench arm).
-        by_label = {q.label: q for q in lite_queries}
-        for label in ("suppliers-by-region", "big-customer-orders"):
-            sql = dict(TPCH_LITE_SQL)[label]
+        # Every template through both entry forms: SQL text and the
+        # parsed Query must run the same search.
+        assert len(lite_queries) == len(TPCH_LITE_SQL)
+        for (label, sql), query in zip(TPCH_LITE_SQL, lite_queries):
+            assert query.label == label
             from_sql = repro.optimize(sql, schema=lite_schema, stats=lite_stats)
-            from_query = repro.optimize(by_label[label], stats=lite_stats)
+            from_query = repro.optimize(query, stats=lite_stats)
             assert from_sql.cost == from_query.cost, label
             assert from_sql.plans_costed == from_query.plans_costed, label
+            validate_plan(from_sql.plan, query.graph)
+            assert from_sql.tree() is not None, label  # carries the query
 
     def test_facade_exports(self):
         assert repro.TPCH_LITE_SQL is TPCH_LITE_SQL
