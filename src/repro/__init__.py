@@ -89,7 +89,6 @@ from repro.robust import (
     Attempt,
     Deadline,
     FaultHarness,
-    FaultPlan,
     RobustOptimizer,
     RobustResult,
 )
@@ -197,7 +196,6 @@ __all__ = [
     "Attempt",
     "Deadline",
     "FaultHarness",
-    "FaultPlan",
     # plans
     "PlanNode",
     "explain",

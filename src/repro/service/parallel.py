@@ -27,11 +27,15 @@ Scheduling policy (the serial-vs-pool decision lives in
 
 Budget trips are part of the protocol (the paper's ``*`` cells), so they
 are captured per cell — :attr:`BatchItem.error` — instead of aborting the
-batch. An injected :class:`~repro.robust.faults.WorkerCrashFault` (chaos
-testing via the ``faults=`` plan) kills its chunk, which the coordinator
-re-runs at attempt 1 — the grid still comes back complete. Any other
-exception propagates and cancels the batch: a malformed query should fail
-loudly, not produce a hole in a table.
+batch. A worker process that dies mid-batch (OOM kill, signal) breaks the
+pool: the coordinator drops the broken pool, so the next batch starts a
+fresh one, and runs the cells it has not collected yet in-process — the
+grid still comes back complete. A cell that killed its worker through its
+own memory use runs again in the caller and can kill the caller too; cap
+such searches with the modeled-memory budget
+(``SearchBudget.max_memory_bytes``). Any other exception propagates and
+cancels the batch: a malformed query should fail loudly, not produce a
+hole in a table.
 
 Determinism: optimizers are seeded and statistics are fixed, so a cell's
 outcome does not depend on which process computes it — serial and pool
@@ -47,6 +51,7 @@ from __future__ import annotations
 import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,7 +64,6 @@ from repro.obs.names import SPAN_SERVICE_BATCH, SPAN_SERVICE_CELL
 from repro.obs.runtime import current_tracer
 from repro.obs.trace import maybe_span
 from repro.query.query import Query
-from repro.robust.faults import FaultPlan, WorkerCrashFault
 
 __all__ = [
     "BatchItem",
@@ -129,30 +133,6 @@ def execution_plan(
     return "pool", effective, None
 
 
-#: Per-process execution context installed by :func:`_install_context`.
-_CONTEXT: dict | None = None
-
-
-def _install_context(
-    queries: list[Query],
-    stats: CatalogStatistics,
-    budget: SearchBudget | None,
-    cost_model: CostModel | None,
-    robust: bool,
-    faults: FaultPlan | None = None,
-) -> None:
-    """Install the batch context in this process."""
-    global _CONTEXT
-    _CONTEXT = {
-        "queries": queries,
-        "stats": stats,
-        "budget": budget,
-        "cost_model": cost_model,
-        "robust": robust,
-        "faults": faults,
-    }
-
-
 def _make_cell_optimizer(technique: str, budget, cost_model, robust: bool):
     if robust:
         # Imported lazily: repro.robust builds ladder rungs through the
@@ -165,37 +145,25 @@ def _make_cell_optimizer(technique: str, budget, cost_model, robust: bool):
     return make_optimizer(technique, budget=budget, cost_model=cost_model)
 
 
-def _run_cell(task: tuple[int, str, int]) -> BatchItem:
-    """Optimize one grid cell inside a worker (or inline when serial).
-
-    ``task`` is ``(query_index, technique, attempt)`` — the attempt index
-    exists for the fault plan: an injected :class:`WorkerCrashFault` fires
-    only at attempt 0, so the coordinator's retry (attempt 1) runs clean
-    and the batch outcome matches a fault-free run.
+def _run_cell(context, query_index: int, technique: str) -> BatchItem:
+    """Optimize one grid cell of the batch ``context``.
 
     Observability state is process-local, so cell spans only appear when
-    the batch runs serially (or for the coordinating process): worker
-    processes start with observability disabled and stay no-op-cheap,
-    keeping parallel results identical to serial ones.
+    the cell runs in the coordinating process (serial mode, or a broken
+    pool's leftover cells): worker processes start with observability
+    disabled and stay no-op-cheap, keeping parallel results identical to
+    serial ones.
     """
-    query_index, technique, attempt = task
-    assert _CONTEXT is not None, "worker context not initialized"
-    query = _CONTEXT["queries"][query_index]
-    faults: FaultPlan | None = _CONTEXT["faults"]
-    if faults is not None:
-        faults.maybe_crash(query_index, technique, attempt)
-    optimizer = _make_cell_optimizer(
-        technique, _CONTEXT["budget"], _CONTEXT["cost_model"], _CONTEXT["robust"]
-    )
-    if faults is not None:
-        optimizer.cost_model = faults.wrap_cost_model(optimizer.cost_model)
+    queries, stats, budget, cost_model, robust = context
+    query = queries[query_index]
+    optimizer = _make_cell_optimizer(technique, budget, cost_model, robust)
     with maybe_span(
         current_tracer(), SPAN_SERVICE_CELL,
         query=query.label, technique=technique,
         query_index=query_index, worker_pid=os.getpid(),
     ) as span:
         try:
-            result = optimizer.optimize(query, _CONTEXT["stats"])
+            result = optimizer.optimize(query, stats)
         except OptimizationBudgetExceeded as exc:
             span.set(feasible=False, resource=exc.resource)
             return BatchItem(query_index, technique, query.label, None, exc)
@@ -204,16 +172,20 @@ def _run_cell(task: tuple[int, str, int]) -> BatchItem:
 
 
 def _run_chunk(payload) -> list[BatchItem]:
-    """Worker entry: install the shipped context, run a chunk of cells.
+    """Run a chunk of ``(query_index, technique)`` cells, in grid order.
 
+    The one cell loop of both modes: called inline for serial batches and
+    for a broken pool's leftover cells, and as the pool task otherwise.
     Self-contained on purpose — the persistent pool is reused across
     batches, so the context travels with the chunk (pickled once per
     worker per batch) instead of via a pool initializer bound to one
     batch's data.
     """
-    context, chunk = payload
-    _install_context(*context)
-    return [_run_cell(task) for task in chunk]
+    context, cells = payload
+    return [
+        _run_cell(context, query_index, technique)
+        for query_index, technique in cells
+    ]
 
 
 # -- persistent pool ----------------------------------------------------------
@@ -246,23 +218,6 @@ def shutdown_pool() -> None:
 atexit.register(shutdown_pool)
 
 
-def _run_serial(tasks, context) -> list[BatchItem]:
-    """Run ``tasks`` inline, retrying any cell whose worker "crashes"."""
-    global _CONTEXT
-    _install_context(*context)
-    try:
-        items = []
-        for task in tasks:
-            try:
-                items.append(_run_cell(task))
-            except WorkerCrashFault:
-                query_index, technique, _ = task
-                items.append(_run_cell((query_index, technique, 1)))
-        return items
-    finally:
-        _CONTEXT = None
-
-
 def optimize_many(
     queries: Sequence[Query],
     techniques: Sequence[str],
@@ -271,7 +226,6 @@ def optimize_many(
     cost_model: CostModel | None = None,
     workers: int | None = 1,
     robust: bool = False,
-    faults: FaultPlan | None = None,
 ) -> list[list[BatchItem]]:
     """Optimize every query with every technique, in parallel.
 
@@ -290,11 +244,6 @@ def optimize_many(
         robust: Wrap each technique in its fallback ladder
             (:func:`repro.robust.ladder_from`), as the bench runner's
             robust mode does.
-        faults: Optional :class:`~repro.robust.faults.FaultPlan` shipped
-            into every worker: seed-selected cells crash on first attempt
-            (the coordinator retries them — the grid still comes back
-            complete and identical to a fault-free run) and cost-model
-            reads can be slowed to inflate cell latency.
 
     Returns:
         ``grid[q][t]`` — a :class:`BatchItem` per (query, technique), in
@@ -312,48 +261,49 @@ def optimize_many(
     if stats is None:
         stats = analyze(queries[0].schema)
 
-    tasks = [
-        (query_index, technique, 0)
+    cells = [
+        (query_index, technique)
         for query_index in range(len(queries))
         for technique in techniques
     ]
-    mode, effective, _reason = execution_plan(workers, len(tasks))
-    context = (queries, stats, budget, cost_model, robust, faults)
+    mode, effective, _reason = execution_plan(workers, len(cells))
+    context = (queries, stats, budget, cost_model, robust)
 
     with maybe_span(
         current_tracer(), SPAN_SERVICE_BATCH,
         queries=len(queries), techniques=len(techniques),
-        cells=len(tasks), workers=effective, mode=mode,
+        cells=len(cells), workers=effective, mode=mode,
     ):
         if mode == "serial":
-            items = _run_serial(tasks, context)
+            items = _run_chunk((context, cells))
         else:
             # One contiguous chunk per worker: context pickled once per
             # worker, every worker busy for the whole batch, and chunk
-            # concatenation preserves submission order. Chunks are
-            # submitted individually (not pool.map) so a chunk killed by
-            # an injected worker crash can be retried in the coordinator
-            # at attempt 1 without losing its siblings.
-            base, extra = divmod(len(tasks), effective)
+            # concatenation preserves submission order.
+            base, extra = divmod(len(cells), effective)
             chunks = []
             start = 0
             for worker_index in range(effective):
                 size = base + (1 if worker_index < extra else 0)
                 if size == 0:
                     break
-                chunks.append(tasks[start : start + size])
+                chunks.append(cells[start : start + size])
                 start += size
             pool = _get_pool(effective)
-            futures = [
-                pool.submit(_run_chunk, (context, chunk)) for chunk in chunks
-            ]
             items = []
-            for future, chunk in zip(futures, chunks):
-                try:
+            try:
+                futures = [
+                    pool.submit(_run_chunk, (context, chunk)) for chunk in chunks
+                ]
+                for future in futures:
                     items.extend(future.result())
-                except WorkerCrashFault:
-                    retry = [(q, t, 1) for (q, t, _) in chunk]
-                    items.extend(_run_serial(retry, context))
+            except BrokenProcessPool:
+                # A worker died: drop the broken pool so the next batch
+                # gets a fresh one, and run the cells not collected yet
+                # in-process. Cells are deterministic, so the grid is the
+                # one the pool would have returned.
+                shutdown_pool()
+                items.extend(_run_chunk((context, cells[len(items) :])))
 
     width = len(techniques)
     return [items[row * width : (row + 1) * width] for row in range(len(queries))]

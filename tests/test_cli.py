@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.bench.cli import main
@@ -66,3 +68,15 @@ def test_output_directory(tmp_path, capsys):
     written = out_dir / "table-2.2.txt"
     assert written.exists()
     assert "matches the paper" in written.read_text()
+
+
+def test_workers_flag_keeps_report_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    reports = []
+    for workers in ("1", "2"):
+        clear_caches()
+        out_dir = tmp_path / f"workers-{workers}"
+        argv = ["table-1.1", "--instances", "2", "--workers", workers]
+        assert main([*argv, "--output", str(out_dir)]) == 0
+        reports.append((out_dir / "table-1.1.txt").read_bytes())
+    assert reports[0] == reports[1]

@@ -26,7 +26,6 @@ _SAMPLE_ARGS = {
     "InjectedBudgetExceeded": ("costing", 5.0, 6.0),
     "AdmissionRejected": ("queue-full", "admission queue at capacity (8)"),
     "TenantBudgetExhausted": ("tenant-9", 0.125),
-    "WorkerCrashFault": (3, "SDP"),
 }
 
 
@@ -63,7 +62,6 @@ def test_hierarchy_walk_found_the_serving_errors():
     assert {
         "AdmissionRejected",
         "TenantBudgetExhausted",
-        "WorkerCrashFault",
         "OptimizationBudgetExceeded",
         "OptimizationCancelled",
     } <= names

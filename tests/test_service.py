@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import threading
 import time
 
 import pytest
 
+import repro.obs as obs
 from repro.bench.runner import run_comparison
 from repro.catalog import analyze
 from repro.bench.workloads import WorkloadSpec
@@ -23,6 +25,7 @@ from repro.service import (
     optimize_many,
     query_fingerprint,
 )
+from repro.service import parallel as executor
 from repro.service.parallel import execution_plan
 from tests.conftest import make_chain_query, make_star_query
 
@@ -366,6 +369,10 @@ def _grid_key(item: BatchItem):
     )
 
 
+def _grid_keys(grid):
+    return [[_grid_key(item) for item in row] for row in grid]
+
+
 class TestOptimizeMany:
     def test_grid_execution_plan_reasons(self, monkeypatch):
         assert execution_plan(4, 2) == ("serial", 1, "grid_too_small")
@@ -383,23 +390,30 @@ class TestOptimizeMany:
         with pytest.raises(ServiceError):
             optimize_many([query], [], stats=small_stats)
 
-    def test_parallel_matches_serial_elementwise(self, small_schema, small_stats):
+    def test_parallel_matches_serial_elementwise(
+        self, monkeypatch, small_schema, small_stats
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         queries = [make_star_query(small_schema, n) for n in (4, 5, 6)]
         techniques = ["SDP", "GOO"]
         serial = optimize_many(
             queries, techniques, stats=small_stats, workers=1
         )
-        parallel = optimize_many(
-            queries, techniques, stats=small_stats, workers=2
-        )
-        assert [[_grid_key(i) for i in row] for row in serial] == [
-            [_grid_key(i) for i in row] for row in parallel
-        ]
+        with obs.capture() as exporter:
+            parallel = optimize_many(
+                queries, techniques, stats=small_stats, workers=2
+            )
+        (batch,) = [s for s in exporter.spans if s.name == "service.batch"]
+        assert batch.attributes["mode"] == "pool"
+        assert _grid_keys(serial) == _grid_keys(parallel)
 
-    def test_budget_trips_become_error_cells(self, small_schema, small_stats):
+    def test_budget_trips_become_error_cells(
+        self, monkeypatch, small_schema, small_stats
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         # On star-7, GOO costs 55 plans and DP 1357: a 100-plan cap trips
-        # DP only.
-        queries = [make_star_query(small_schema, 7)]
+        # DP only. Two rows make the 4 cells a pool-sized grid.
+        queries = [make_star_query(small_schema, 7)] * 2
         tight = SearchBudget(max_plans_costed=100)
         for workers in (1, 2):
             grid = optimize_many(
@@ -409,26 +423,50 @@ class TestOptimizeMany:
                 budget=tight,
                 workers=workers,
             )
-            dp, goo = grid[0]
-            assert not dp.feasible
-            assert isinstance(dp.error, OptimizationBudgetExceeded)
-            assert dp.error.resource == "costing"
-            assert goo.feasible
+            for dp, goo in grid:
+                assert not dp.feasible
+                assert isinstance(dp.error, OptimizationBudgetExceeded)
+                assert dp.error.resource == "costing"
+                assert goo.feasible
 
     def test_robust_mode_degrades_instead_of_erroring(
-        self, small_schema, small_stats
+        self, monkeypatch, small_schema, small_stats
     ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         grid = optimize_many(
-            [make_star_query(small_schema, 7)],
+            [make_star_query(small_schema, 7)] * 4,
             ["DP"],
             stats=small_stats,
             budget=SearchBudget(max_plans_costed=200),
             workers=2,
             robust=True,
         )
-        item = grid[0][0]
-        assert item.feasible  # the ladder answered with a cheaper rung
-        assert item.result.degraded
+        for (item,) in grid:
+            assert item.feasible  # the ladder answered with a cheaper rung
+            assert item.result.degraded
+
+    def test_pool_recovers_from_a_dead_worker(
+        self, monkeypatch, small_schema, small_stats
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        queries = [make_star_query(small_schema, n) for n in (4, 5, 6)]
+        techniques = ["SDP", "GOO"]
+        serial = _grid_keys(
+            optimize_many(queries, techniques, stats=small_stats, workers=1)
+        )
+        optimize_many(queries, techniques, stats=small_stats, workers=2)
+        broken = executor._POOL
+        victim = next(iter(broken._processes.values()))
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10)
+        # The batch that finds the pool broken finishes in-process; the
+        # one after it runs on a fresh pool.
+        for _ in range(2):
+            grid = optimize_many(
+                queries, techniques, stats=small_stats, workers=2
+            )
+            assert _grid_keys(grid) == serial
+        assert executor._POOL is not None and executor._POOL is not broken
 
     def test_budget_error_survives_pickling(self):
         error = OptimizationBudgetExceeded("costing", 10, 11)
