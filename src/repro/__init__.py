@@ -106,7 +106,6 @@ from repro.query import (
 )
 from repro.service import (
     BatchItem,
-    BrownoutLevel,
     CacheStats,
     FrontDoor,
     FrontDoorConfig,
@@ -187,7 +186,6 @@ __all__ = [
     "FrontDoor",
     "FrontDoorConfig",
     "FrontDoorResult",
-    "BrownoutLevel",
     "TenantPolicy",
     "TenantRegistry",
     # robustness

@@ -20,8 +20,7 @@ deploy around them:
 from repro.service.cache import CacheStats, PlanCache
 from repro.service.fingerprint import fingerprint_components, query_fingerprint
 from repro.service.frontdoor import (
-    DEFAULT_BROWNOUT_LEVELS,
-    BrownoutLevel,
+    BROWNOUT_ENTRIES,
     FrontDoor,
     FrontDoorConfig,
     FrontDoorResult,
@@ -34,10 +33,9 @@ from repro.service.service import OptimizationService, ServiceResult
 from repro.service.tenancy import TenantBudget, TenantPolicy, TenantRegistry
 
 __all__ = [
+    "BROWNOUT_ENTRIES",
     "BatchItem",
-    "BrownoutLevel",
     "CacheStats",
-    "DEFAULT_BROWNOUT_LEVELS",
     "FrontDoor",
     "FrontDoorConfig",
     "FrontDoorResult",

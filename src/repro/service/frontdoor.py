@@ -21,10 +21,10 @@ thesis (*always return a plan, degrade gracefully, never fall over*):
   latency (see :mod:`repro.service.tenancy`);
 * under sustained pressure the :class:`LoadController` steps down a
   **brownout ladder**: the optimizer entry point moves from the service's
-  configured technique toward cheaper ones (``SDP → IDP(4) → GOO``) and
-  per-call budgets shrink, so admitted requests keep completing — the
-  same fallback-ladder idea as :class:`~repro.robust.RobustOptimizer`,
-  applied fleet-wide instead of per call;
+  configured technique toward cheaper ones (``SDP → IDP(4) → GOO``), so
+  admitted requests keep completing — the same fallback-ladder idea as
+  :class:`~repro.robust.RobustOptimizer`, applied fleet-wide instead of
+  per call;
 * brownout results are **never cached** (the cache must only ever serve
   full-quality plans) and the unloaded path — brownout level 0 — is
   bit-identical to calling :meth:`OptimizationService.optimize` directly;
@@ -39,12 +39,11 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from queue import Empty, Full, Queue
 from typing import Callable
 
 from repro.catalog.statistics import CatalogStatistics
-from repro.core.base import SearchBudget
 from repro.errors import AdmissionRejected, ServiceError, TenantBudgetExhausted
 from repro.obs.names import (
     METRIC_FRONTDOOR_BROWNOUT_LEVEL,
@@ -64,8 +63,7 @@ from repro.service.service import OptimizationService, ServiceResult
 from repro.service.tenancy import TenantRegistry
 
 __all__ = [
-    "BrownoutLevel",
-    "DEFAULT_BROWNOUT_LEVELS",
+    "BROWNOUT_ENTRIES",
     "LoadController",
     "StatsRefreshBreaker",
     "FrontDoorConfig",
@@ -77,73 +75,33 @@ __all__ = [
 #: How long a worker blocks on the queue before re-checking shutdown.
 _WORKER_POLL_SECONDS = 0.05
 
+#: How long :meth:`FrontDoor.optimize` waits for an admitted request when
+#: the call gives no ``timeout``; a backstop, not a scheduling device —
+#: workers never abandon admitted work.
+RESULT_TIMEOUT_SECONDS = 60.0
+
 
 # -- brownout ladder -----------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class BrownoutLevel:
-    """One rung of the serving-wide degradation ladder.
-
-    Attributes:
-        level: Position on the ladder; 0 is the undegraded baseline.
-        entry: Fallback-ladder entry technique for requests served at this
-            level (``ladder_from(entry)``), or None for the service's own
-            configured path (level 0 only).
-        budget_scale: Multiplier in ``(0, 1]`` applied to the per-call
-            search budget's plan and time allowances. Brownout only ever
-            *shrinks* budgets.
-    """
-
-    level: int
-    entry: str | None
-    budget_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ServiceError(f"brownout level must be >= 0, got {self.level}")
-        if not 0.0 < self.budget_scale <= 1.0:
-            raise ServiceError(
-                f"budget_scale must be in (0, 1], got {self.budget_scale}"
-            )
-        if self.level == 0 and self.entry is not None:
-            raise ServiceError("brownout level 0 is the baseline path (entry=None)")
-        if self.level > 0 and self.entry is None:
-            raise ServiceError("brownout levels > 0 need an entry technique")
-
-
-#: The default degradation ladder. Level 0 is the service's configured
-#: technique at full budget (the bit-identical unloaded path); each
-#: further level enters the robust fallback ladder lower and with less
-#: budget, mirroring the paper's DP -> SDP -> IDP -> GOO cost/quality
-#: ordering at the fleet level.
-DEFAULT_BROWNOUT_LEVELS = (
-    BrownoutLevel(0, None, 1.0),
-    BrownoutLevel(1, "SDP", 1.0),
-    BrownoutLevel(2, "IDP(4)", 0.5),
-    BrownoutLevel(3, "GOO", 0.25),
-)
-
-
-def _scaled_budget(base: SearchBudget, scale: float) -> SearchBudget:
-    """``base`` with plan/time allowances multiplied by ``scale``.
-
-    The memory ceiling is left alone: it models a fixed planner arena, not
-    a rate, and shrinking it would change *which* plans are feasible
-    rather than how long we look for them.
-    """
-    if scale >= 1.0:
-        return base
-    plans = base.max_plans_costed
-    seconds = base.max_seconds
-    return replace(
-        base,
-        max_plans_costed=None if plans is None else max(1, int(plans * scale)),
-        max_seconds=None if seconds is None else seconds * scale,
-    )
+#: Fallback-ladder entry technique of brownout levels 1, 2 and 3. Level 0
+#: is the service's configured technique (the bit-identical unloaded
+#: path); each further level enters the robust ladder lower
+#: (``ladder_from(entry)``), mirroring the paper's DP -> SDP -> IDP -> GOO
+#: cost/quality ordering at the fleet level.
+BROWNOUT_ENTRIES = ("SDP", "IDP(4)", "GOO")
 
 
 # -- load controller -----------------------------------------------------------
+
+#: Queue occupancy (0..1) at/above which load is considered heavy.
+HIGH_WATERMARK = 0.75
+#: Queue occupancy at/below which load is considered light.
+LOW_WATERMARK = 0.25
+#: Sliding-window p95 above this also counts as heavy load (a slow backend
+#: backs the queue up eventually, but latency notices first).
+LATENCY_SLO_SECONDS = 0.5
+#: Completed-request latencies retained for the p95.
+LATENCY_WINDOW = 64
 
 
 class LoadController:
@@ -154,43 +112,22 @@ class LoadController:
     against watermarks with hysteresis. Escalation is immediate-but-rate-
     limited (at most one level per ``cooldown_seconds``); de-escalation
     requires the system to look calm for a full cooldown, so the level
-    does not flap at the boundary.
+    does not flap at the boundary. The highest level is the last entry
+    of :data:`BROWNOUT_ENTRIES`.
 
     Args:
-        max_level: Highest level this controller will command.
-        high_watermark: Queue occupancy (0..1) at/above which load is
-            considered heavy.
-        low_watermark: Occupancy at/below which load is considered light.
-        latency_slo_seconds: Sliding-window p95 above this also counts as
-            heavy load (a slow backend backs the queue up eventually, but
-            latency notices first).
-        window: Completed-request latencies retained for the percentile.
         cooldown_seconds: Minimum time between level changes.
         clock: Monotonic time source (injectable for deterministic tests).
     """
 
     def __init__(
         self,
-        max_level: int = len(DEFAULT_BROWNOUT_LEVELS) - 1,
-        high_watermark: float = 0.75,
-        low_watermark: float = 0.25,
-        latency_slo_seconds: float = 0.5,
-        window: int = 64,
         cooldown_seconds: float = 0.25,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if not 0.0 <= low_watermark < high_watermark <= 1.0:
-            raise ServiceError(
-                "watermarks must satisfy 0 <= low < high <= 1, got "
-                f"low={low_watermark}, high={high_watermark}"
-            )
-        self.max_level = max_level
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
-        self.latency_slo_seconds = latency_slo_seconds
         self.cooldown_seconds = cooldown_seconds
         self._clock = clock
-        self._latencies: deque[float] = deque(maxlen=window)
+        self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._level = 0
         self._last_change = clock()
         self._lock = threading.Lock()
@@ -225,14 +162,14 @@ class LoadController:
         """
         occupancy = queue_depth / queue_capacity if queue_capacity else 0.0
         p95 = self.p95()
-        heavy = occupancy >= self.high_watermark or (
-            p95 > self.latency_slo_seconds and occupancy > self.low_watermark
+        heavy = occupancy >= HIGH_WATERMARK or (
+            p95 > LATENCY_SLO_SECONDS and occupancy > LOW_WATERMARK
         )
-        calm = occupancy <= self.low_watermark
+        calm = occupancy <= LOW_WATERMARK
         with self._lock:
             now = self._clock()
             if now - self._last_change >= self.cooldown_seconds:
-                if heavy and self._level < self.max_level:
+                if heavy and self._level < len(BROWNOUT_ENTRIES):
                     self._level += 1
                     self._last_change = now
                 elif calm and self._level > 0:
@@ -294,6 +231,14 @@ class StatsRefreshBreaker:
                 ("outcome",),
             ).inc(outcome=outcome)
 
+    def _apply(self, stats: CatalogStatistics, now: float) -> None:
+        """Install ``stats`` and re-close the breaker (lock held)."""
+        self._service.install_statistics(stats)
+        self._last_applied = now
+        self._pending = None
+        self.applied += 1
+        self._note("applied")
+
     def install(self, stats: CatalogStatistics) -> str:
         """Refresh statistics through the breaker: "applied" | "coalesced"."""
         with self._lock:
@@ -302,11 +247,7 @@ class StatsRefreshBreaker:
                 self._last_applied is None
                 or now - self._last_applied >= self.min_interval_seconds
             ):
-                self._service.install_statistics(stats)
-                self._last_applied = now
-                self._pending = None
-                self.applied += 1
-                self._note("applied")
+                self._apply(stats, now)
                 return "applied"
             self._pending = stats
             self.coalesced += 1
@@ -324,11 +265,7 @@ class StatsRefreshBreaker:
                 and now - self._last_applied < self.min_interval_seconds
             ):
                 return False
-            self._service.install_statistics(self._pending)
-            self._last_applied = now
-            self._pending = None
-            self.applied += 1
-            self._note("applied")
+            self._apply(self._pending, now)
             return True
 
     @property
@@ -357,31 +294,16 @@ class FrontDoorConfig:
         queue_capacity: Bounded admission-queue depth; requests beyond it
             are shed with ``AdmissionRejected("queue-full")``.
         workers: Serving threads draining the queue.
-        default_budget: Per-call search budget for tenants whose policy
-            does not carry one; None means :class:`SearchBudget`'s
-            defaults.
-        brownout_levels: The degradation ladder (must start at level 0
-            and use consecutive levels).
-        high_watermark / low_watermark / latency_slo_seconds / window /
-            cooldown_seconds: Forwarded to :class:`LoadController`.
+        cooldown_seconds: Minimum time between brownout level changes
+            (:class:`LoadController`).
         stats_refresh_interval_seconds: Minimum spacing between applied
             statistics epochs (:class:`StatsRefreshBreaker`).
-        result_timeout_seconds: How long :meth:`FrontDoor.optimize` waits
-            for an admitted request before raising; a backstop, not a
-            scheduling device — workers never abandon admitted work.
     """
 
     queue_capacity: int = 32
     workers: int = 4
-    default_budget: SearchBudget | None = None
-    brownout_levels: tuple[BrownoutLevel, ...] = DEFAULT_BROWNOUT_LEVELS
-    high_watermark: float = 0.75
-    low_watermark: float = 0.25
-    latency_slo_seconds: float = 0.5
-    window: int = 64
     cooldown_seconds: float = 0.25
     stats_refresh_interval_seconds: float = 0.25
-    result_timeout_seconds: float = 60.0
 
     def __post_init__(self):
         if self.queue_capacity < 1:
@@ -390,12 +312,6 @@ class FrontDoorConfig:
             )
         if self.workers < 1:
             raise ServiceError(f"workers must be >= 1, got {self.workers!r}")
-        levels = [entry.level for entry in self.brownout_levels]
-        if levels != list(range(len(levels))) or not levels:
-            raise ServiceError(
-                "brownout_levels must be consecutive levels starting at 0, "
-                f"got {levels!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -458,7 +374,6 @@ class FrontDoorStats:
 class _Request:
     query: Query
     tenant: str
-    budget: SearchBudget
     future: Future
     enqueued_at: float
     sql: str | None = None
@@ -484,7 +399,7 @@ class FrontDoor:
 
     Args:
         service: The backing optimization service (shared, thread-safe).
-        config: Static limits and brownout ladder.
+        config: Static limits.
         tenants: Tenant policy/bucket registry; a fresh default registry
             when omitted.
         clock: Monotonic time source, forwarded to the load controller
@@ -504,13 +419,7 @@ class FrontDoor:
         self._clock = clock
         self._queue: Queue[_Request] = Queue(maxsize=self.config.queue_capacity)
         self.controller = LoadController(
-            max_level=len(self.config.brownout_levels) - 1,
-            high_watermark=self.config.high_watermark,
-            low_watermark=self.config.low_watermark,
-            latency_slo_seconds=self.config.latency_slo_seconds,
-            window=self.config.window,
-            cooldown_seconds=self.config.cooldown_seconds,
-            clock=clock,
+            cooldown_seconds=self.config.cooldown_seconds, clock=clock
         )
         self.breaker = StatsRefreshBreaker(
             service,
@@ -558,7 +467,10 @@ class FrontDoor:
         ``AdmissionRejected("shutdown")`` — completed exceptionally, not
         abandoned: no future ever hangs.
         """
-        self._closing.set()
+        with self._lock:
+            # Under the lock submit() enqueues with: once set, nothing more
+            # lands on the queue, so the workers' drain is complete.
+            self._closing.set()
         if not drain:
             while True:
                 try:
@@ -619,28 +531,33 @@ class FrontDoor:
             self._count("shed-tenant")
             raise TenantBudgetExhausted(tenant, bucket.retry_after())
 
-        policy = self.tenants.policy(tenant)
-        budget = (
-            policy.search_budget
-            or self.config.default_budget
-            or SearchBudget()
-        )
         request = _Request(
             query=query,
             tenant=tenant,
-            budget=budget,
             future=Future(),
             enqueued_at=self._clock(),
             sql=sql,
         )
-        try:
-            self._queue.put(request, block=False)
-        except Full:
+        # close() may have run since the check above; re-check under the
+        # lock it sets the flag under, or the request could land on a
+        # queue whose workers have already exited.
+        with self._lock:
+            closing = self._closing.is_set()
+            full = False
+            if not closing:
+                try:
+                    self._queue.put(request, block=False)
+                except Full:
+                    full = True
+        if closing:
+            self._count("shed-shutdown")
+            raise AdmissionRejected("shutdown", "front door is closing")
+        if full:
             self._count("shed-queue")
             raise AdmissionRejected(
                 "queue-full",
                 f"admission queue at capacity ({self.config.queue_capacity})",
-            ) from None
+            )
         self._count("admitted")
         if _obs_enabled():
             _obs_metrics().gauge(
@@ -657,7 +574,7 @@ class FrontDoor:
     ) -> FrontDoorResult:
         """Synchronous submit-and-wait (the common client path)."""
         future = self.submit(query, tenant=tenant)
-        wait = self.config.result_timeout_seconds if timeout is None else timeout
+        wait = RESULT_TIMEOUT_SECONDS if timeout is None else timeout
         return future.result(timeout=wait)
 
     # -- serving ----------------------------------------------------------------
@@ -667,7 +584,9 @@ class FrontDoor:
             try:
                 request = self._queue.get(timeout=_WORKER_POLL_SECONDS)
             except Empty:
-                if self._closing.is_set():
+                # close() sets the flag under the enqueue lock, so a queue
+                # found empty after it is drained for good.
+                if self._closing.is_set() and self._queue.empty():
                     return
                 self.breaker.flush()
                 continue
@@ -677,30 +596,26 @@ class FrontDoor:
     def _serve(self, request: _Request) -> None:
         started = self._clock()
         queue_wait = started - request.enqueued_at
-        level_index = self.controller.evaluate(
+        level = self.controller.evaluate(
             self._queue.qsize(), self.config.queue_capacity
         )
-        level = self.config.brownout_levels[level_index]
-        entry = level.entry or self.service.technique
+        entry = BROWNOUT_ENTRIES[level - 1] if level else self.service.technique
         with maybe_span(
             current_tracer(), SPAN_FRONTDOOR_REQUEST,
             query=request.query.label, tenant=request.tenant,
-            brownout_level=level.level, entry=entry,
+            brownout_level=level, entry=entry,
         ) as span:
             try:
                 # SQL submissions re-enter the service as text so the
                 # result carries full query/sql provenance (the re-parse
                 # is noise next to the search).
                 target = request.sql if request.sql is not None else request.query
-                if level.level == 0:
+                if level == 0:
                     # Baseline: the exact service path an unloaded caller
                     # would take (cached, single-flighted, full budget).
                     inner = self.service.optimize(target)
                 else:
-                    optimizer = RobustOptimizer(
-                        ladder=ladder_from(level.entry),
-                        budget=_scaled_budget(request.budget, level.budget_scale),
-                    )
+                    optimizer = RobustOptimizer(ladder=ladder_from(entry))
                     inner = self.service.optimize(target, optimizer=optimizer)
             except Exception as exc:
                 span.set(outcome="error")
@@ -712,7 +627,7 @@ class FrontDoor:
             served = FrontDoorResult(
                 result=inner,
                 tenant=request.tenant,
-                brownout_level=level.level,
+                brownout_level=level,
                 entry=entry,
                 queue_wait_seconds=queue_wait,
                 total_seconds=total,

@@ -222,16 +222,10 @@ class OptimizationService:
             fingerprint = query_fingerprint(query)
             span.set(fingerprint=fingerprint, epoch=epoch)
             key = (fingerprint, epoch)
-            cached = self._cache.get(key)
-            if cached is not None:
+            hit = self._cached(key, timer, query, sql)
+            if hit is not None:
                 span.set(cache_hit=True)
-                return replace(
-                    cached,  # type: ignore[arg-type]
-                    cache_hit=True,
-                    elapsed_seconds=timer.stop(),
-                    query=query,
-                    sql=sql,
-                )
+                return hit
             span.set(cache_hit=False)
 
             if optimizer is not None:
@@ -245,33 +239,36 @@ class OptimizationService:
             if not leader:
                 span.set(single_flight="follower")
                 event.wait(timeout=INFLIGHT_WAIT_SECONDS)
-                cached = self._cache.get(key)
-                if cached is not None:
-                    return replace(
-                        cached,  # type: ignore[arg-type]
-                        cache_hit=True,
-                        elapsed_seconds=timer.stop(),
-                        query=query,
-                        sql=sql,
-                    )
+                hit = self._cached(key, timer, query, sql)
+                if hit is not None:
+                    return hit
                 # Leader failed, timed out, or the epoch moved: compute
                 # independently rather than re-electing (no herd left —
                 # every waiter was woken by the same event).
+            try:
                 result = self._optimizer.optimize(query, snapshot)
                 return self._served(
                     result, fingerprint, epoch, cache=True,
                     query=query, sql=sql,
                 )
-
-            try:
-                result = self._optimizer.optimize(query, snapshot)
-                served = self._served(
-                    result, fingerprint, epoch, cache=True,
-                    query=query, sql=sql,
-                )
             finally:
-                self._release(key, event)
-            return served
+                if leader:
+                    self._release(key, event)
+
+    def _cached(
+        self, key: tuple, timer: Timer, query: Query, sql: str | None
+    ) -> ServiceResult | None:
+        """The cached plan for ``key`` re-labelled as this call's hit."""
+        cached = self._cache.get(key)
+        if cached is None:
+            return None
+        return replace(
+            cached,  # type: ignore[arg-type]
+            cache_hit=True,
+            elapsed_seconds=timer.stop(),
+            query=query,
+            sql=sql,
+        )
 
     def _served(
         self,

@@ -1,7 +1,7 @@
 """Tests for the overload-robust serving front door.
 
-Unit tests drive every component deterministically — brownout ladder
-validation, the load controller on a fake clock, the statistics-refresh
+Unit tests drive every component deterministically — the brownout
+ladder's shape, the load controller on a fake clock, the statistics-refresh
 circuit breaker, admission shedding, tenant isolation — and a
 ``stress``-marked smoke test asserts the end-to-end serving contract at
 4x sustained overload with chaos faults installed.
@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import threading
 import time
+from queue import Empty
 
 import pytest
 
 from repro.core.base import SearchBudget
 from repro.errors import AdmissionRejected, ServiceError, TenantBudgetExhausted
 from repro.service import (
-    DEFAULT_BROWNOUT_LEVELS,
-    BrownoutLevel,
+    BROWNOUT_ENTRIES,
     FrontDoor,
     FrontDoorConfig,
     FrontDoorStats,
@@ -28,7 +28,8 @@ from repro.service import (
     TenantPolicy,
     TenantRegistry,
 )
-from repro.service.frontdoor import _scaled_budget
+from repro.robust.ladder import DEFAULT_LADDER, RobustOptimizer, ladder_from
+from repro.service.frontdoor import LATENCY_SLO_SECONDS
 from tests.conftest import make_star_query
 
 
@@ -66,53 +67,10 @@ def query(small_schema):
 
 class TestBrownoutLevel:
     def test_default_ladder_shape(self):
-        levels = [entry.level for entry in DEFAULT_BROWNOUT_LEVELS]
-        assert levels == list(range(len(DEFAULT_BROWNOUT_LEVELS)))
-        assert DEFAULT_BROWNOUT_LEVELS[0].entry is None
-        assert all(entry.entry for entry in DEFAULT_BROWNOUT_LEVELS[1:])
-        scales = [entry.budget_scale for entry in DEFAULT_BROWNOUT_LEVELS]
-        assert scales == sorted(scales, reverse=True)
-
-    def test_level_zero_must_be_baseline(self):
-        with pytest.raises(ServiceError):
-            BrownoutLevel(0, "SDP")
-
-    def test_degraded_levels_need_an_entry(self):
-        with pytest.raises(ServiceError):
-            BrownoutLevel(1, None)
-
-    def test_negative_level_rejected(self):
-        with pytest.raises(ServiceError):
-            BrownoutLevel(-1, "GOO")
-
-    def test_budget_scale_bounds(self):
-        with pytest.raises(ServiceError):
-            BrownoutLevel(1, "SDP", budget_scale=0.0)
-        with pytest.raises(ServiceError):
-            BrownoutLevel(1, "SDP", budget_scale=1.5)
-
-
-class TestScaledBudget:
-    def test_full_scale_is_identity(self):
-        base = SearchBudget(max_plans_costed=1000, max_seconds=2.0)
-        assert _scaled_budget(base, 1.0) is base
-
-    def test_shrinks_plan_and_time_allowances(self):
-        base = SearchBudget(max_plans_costed=1000, max_seconds=2.0)
-        scaled = _scaled_budget(base, 0.5)
-        assert scaled.max_plans_costed == 500
-        assert scaled.max_seconds == pytest.approx(1.0)
-        assert scaled.max_memory_bytes == base.max_memory_bytes
-
-    def test_unlimited_allowances_stay_unlimited(self):
-        base = SearchBudget(max_plans_costed=None, max_seconds=None)
-        scaled = _scaled_budget(base, 0.25)
-        assert scaled.max_plans_costed is None
-        assert scaled.max_seconds is None
-
-    def test_never_scales_to_zero_plans(self):
-        base = SearchBudget(max_plans_costed=2)
-        assert _scaled_budget(base, 0.01).max_plans_costed == 1
+        # Each level enters the robust ladder lower: the entries are
+        # techniques on DEFAULT_LADDER, in ladder order.
+        positions = [DEFAULT_LADDER.index(entry) for entry in BROWNOUT_ENTRIES]
+        assert positions == sorted(set(positions))
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +79,8 @@ class TestScaledBudget:
 
 
 class TestLoadController:
-    def make(self, clock, **kwargs):
-        kwargs.setdefault("max_level", 3)
-        kwargs.setdefault("cooldown_seconds", 1.0)
-        return LoadController(clock=clock, **kwargs)
+    def make(self, clock):
+        return LoadController(cooldown_seconds=1.0, clock=clock)
 
     def test_starts_at_baseline(self):
         controller = self.make(FakeClock())
@@ -144,20 +100,20 @@ class TestLoadController:
         clock.advance(1.0)
         assert controller.evaluate(8, 8) == 3
         clock.advance(1.0)
-        assert controller.evaluate(8, 8) == 3  # capped at max_level
+        assert controller.evaluate(8, 8) == 3  # capped at the last entry
 
     def test_latency_alone_never_escalates(self):
         clock = FakeClock()
-        controller = self.make(clock, latency_slo_seconds=0.5)
+        controller = self.make(clock)
         for _ in range(64):
             controller.observe(10.0)
-        assert controller.p95() > controller.latency_slo_seconds
+        assert controller.p95() > LATENCY_SLO_SECONDS
         clock.advance(5.0)
         assert controller.evaluate(0, 8) == 0
 
     def test_latency_with_queue_pressure_escalates(self):
         clock = FakeClock()
-        controller = self.make(clock, latency_slo_seconds=0.5)
+        controller = self.make(clock)
         for _ in range(64):
             controller.observe(10.0)
         clock.advance(1.0)
@@ -187,12 +143,6 @@ class TestLoadController:
 
     def test_empty_window_p95_is_zero(self):
         assert self.make(FakeClock()).p95() == 0.0
-
-    def test_watermark_validation(self):
-        with pytest.raises(ServiceError):
-            LoadController(high_watermark=0.25, low_watermark=0.75)
-        with pytest.raises(ServiceError):
-            LoadController(high_watermark=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +219,6 @@ class TestFrontDoorConfig:
     def test_workers_validation(self):
         with pytest.raises(ServiceError):
             FrontDoorConfig(workers=0)
-
-    def test_brownout_levels_must_start_at_zero(self):
-        with pytest.raises(ServiceError):
-            FrontDoorConfig(brownout_levels=(BrownoutLevel(1, "SDP"),))
-
-    def test_brownout_levels_must_be_consecutive(self):
-        with pytest.raises(ServiceError):
-            FrontDoorConfig(
-                brownout_levels=(BrownoutLevel(0, None), BrownoutLevel(2, "GOO"))
-            )
 
     def test_stats_properties(self):
         stats = FrontDoorStats(
@@ -497,6 +437,90 @@ class TestFrontDoorSql:
             assert warmed.result.cache_hit
         mix = door.stats().rung_entries
         assert mix == {"IDP(4)": 2, service.technique: 2}
+
+    def test_brownout_request_is_the_entry_ladder(
+        self, service, query, small_stats, monkeypatch
+    ):
+        # A level-2 request is exactly ladder_from("IDP(4)") at the default
+        # budget: same cost, plans_costed and attempt record.
+        import repro.service.frontdoor as frontdoor
+
+        ran = []
+
+        class RecordingOptimizer(RobustOptimizer):
+            def optimize(self, query, stats=None):
+                result = super().optimize(query, stats)
+                ran.append(result)
+                return result
+
+        monkeypatch.setattr(frontdoor, "RobustOptimizer", RecordingOptimizer)
+        clock = FakeClock()
+        config = FrontDoorConfig(
+            queue_capacity=8, workers=1, cooldown_seconds=1.0
+        )
+        with FrontDoor(service, config, clock=clock) as door:
+            clock.advance(1.0)
+            door.controller.evaluate(8, 8)
+            clock.advance(1.0)
+            assert door.controller.evaluate(8, 8) == 2
+            browned = door.optimize(query)
+        expected = RobustOptimizer(ladder=ladder_from("IDP(4)")).optimize(
+            query, small_stats
+        )
+        assert browned.brownout_level == 2
+        assert browned.result.cost == expected.cost
+        assert browned.result.plans_costed == expected.plans_costed
+        assert len(ran) == 1
+        assert ran[0].attempt_signature() == expected.attempt_signature()
+
+    def test_request_admitted_during_close_is_typed_shutdown(
+        self, service, query
+    ):
+        # close() lands between the shutdown check and the enqueue: the
+        # request must be rejected, not left on a queue no worker drains.
+        door = FrontDoor(service, FrontDoorConfig(workers=1)).start()
+
+        class ClosingBucket:
+            def try_acquire(self):
+                door.close()
+                return True
+
+        door.tenants.bucket = lambda tenant: ClosingBucket()
+        with pytest.raises(AdmissionRejected) as excinfo:
+            door.submit(query)
+        assert excinfo.value.reason == "shutdown"
+        stats = door.stats()
+        assert (stats.admitted, stats.shed_shutdown) == (0, 1)
+
+    def test_request_enqueued_as_worker_polls_empty_is_served(
+        self, service, query
+    ):
+        # The worker's poll times out, then a request lands and close()
+        # sets the flag before the worker looks at it: the worker must
+        # serve that request, not exit past it.
+        door = FrontDoor(service, FrontDoorConfig(workers=1))
+        real_get = door._queue.get
+        late = []
+
+        def get(block=True, timeout=None):
+            try:
+                return real_get(block, timeout)
+            except Empty:
+                if not late:
+                    late.append(door.submit(query))
+                    door._closing.set()
+                raise
+
+        door._queue.get = get
+        door.start()
+        try:
+            for _ in range(200):
+                if late:
+                    break
+                time.sleep(0.01)
+            assert late[0].result(timeout=5.0).result.plan is not None
+        finally:
+            door.close(timeout=5.0)
 
     def test_stats_refresh_routes_through_breaker(self, service, small_stats):
         config = FrontDoorConfig(
