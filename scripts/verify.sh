@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Full pre-merge verification: static analysis, the tier-1 test suite
-# (which includes the TPC-H-lite SQL front-door sweep), the perfbench
-# tests, the hot-path regression guard, and the front-door overload
-# smoke, in fail-fast order (cheapest first).
+# Full pre-merge verification: static analysis (plus its wall-time
+# guard), the tier-1 test suite (which includes the TPC-H-lite SQL
+# front-door sweep), the perfbench tests, the hot-path regression guard,
+# and the front-door overload smoke, in fail-fast order (cheapest first).
 #
 #   scripts/verify.sh            # from the repo root
 #
@@ -21,8 +21,9 @@ stage_done() {
   STAGE_T0=$SECONDS
 }
 
-echo "== 1/5 static analysis (python -m repro.lint) =="
+echo "== 1/5 static analysis (python -m repro.lint, lint wall-time guard) =="
 python -m repro.lint src/
+python -m pytest -m perf tests/test_lint_clean.py
 
 stage_done
 

@@ -201,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "lint":
         # Delegate before argparse: the lint driver owns its own flags
-        # (--format, --baseline, ...), which sdp-bench's parser would
+        # (--format, --only, ...), which sdp-bench's parser would
         # otherwise reject.
         from repro.lint.cli import main as lint_main
 

@@ -6,7 +6,6 @@ from repro.lint.checkers import (  # noqa: F401
     exceptions,
     floats,
     layering,
-    lifecycle,
     lockorder,
     obsnames,
     publicapi,

@@ -10,7 +10,7 @@ code they actually saw.
 
 Lock identity is ``"relpath:OwnerClass.attr"`` for instance locks and
 ``"relpath:NAME"`` for module-level locks — stable across runs, so it
-can appear in finding messages (which feed baseline fingerprints).
+can appear in finding messages.
 """
 
 from __future__ import annotations

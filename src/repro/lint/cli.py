@@ -5,11 +5,9 @@ Usage::
     python -m repro.lint                   # lint src/ (or the repro tree)
     python -m repro.lint src/repro/core    # lint a subtree
     python -m repro.lint --format json     # machine-readable findings
-    python -m repro.lint --baseline lint-baseline.json
-    python -m repro.lint --write-baseline lint-baseline.json
     python -m repro.lint --list            # registered checkers
-    python -m repro.lint --only RL009,RL010
-    python -m repro.lint --skip RL007 --jobs 4
+    python -m repro.lint --only RL009,RL011
+    python -m repro.lint --skip RL007
 
 Exit codes: 0 clean, 1 findings, 2 usage/IO error.
 """
@@ -21,7 +19,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro.lint.baseline import load_baseline, suppress_baseline, write_baseline
 from repro.lint.engine import LintError, load_project, run_checkers
 from repro.lint.registry import Checker, all_checkers
 
@@ -54,35 +51,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="finding output format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="suppress findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        default=None,
-        help="write the current findings as a baseline and exit 0",
-    )
-    parser.add_argument(
         "--only",
         metavar="CODES",
         default=None,
-        help="run only these comma-separated checker codes (e.g. RL009,RL010)",
+        help="run only these comma-separated checker codes (e.g. RL009,RL011)",
     )
     parser.add_argument(
         "--skip",
         metavar="CODES",
         default=None,
         help="run every checker except these comma-separated codes",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse files with N threads (default: 1)",
     )
     parser.add_argument(
         "--list",
@@ -138,34 +116,12 @@ def main(argv: list[str] | None = None) -> int:
 
     paths = args.paths or _default_paths()
     try:
-        if args.jobs < 1:
-            raise LintError(f"--jobs must be >= 1, got {args.jobs}")
         checkers = _select_checkers(args.only, args.skip)
-        project = load_project(paths, jobs=args.jobs)
+        project = load_project(paths)
         findings = run_checkers(project, checkers)
     except LintError as exc:
         print(f"repro.lint: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline is not None:
-        try:
-            write_baseline(args.write_baseline, findings)
-        except OSError as exc:
-            print(f"repro.lint: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"wrote {len(findings)} finding(s) to {args.write_baseline}"
-        )
-        return 0
-
-    suppressed = 0
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(f"repro.lint: bad baseline: {exc}", file=sys.stderr)
-            return 2
-        findings, suppressed = suppress_baseline(findings, baseline)
 
     if args.format == "json":
         print(
@@ -173,7 +129,6 @@ def main(argv: list[str] | None = None) -> int:
                 {
                     "findings": [f.to_dict() for f in findings],
                     "files_scanned": len(project.modules),
-                    "suppressed": suppressed,
                 },
                 indent=2,
             )
@@ -181,12 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         for finding in findings:
             print(finding.render())
-        summary = (
-            f"{len(findings)} finding(s) in {len(project.modules)} file(s)"
-        )
-        if suppressed:
-            summary += f" ({suppressed} baselined)"
-        print(summary)
+        print(f"{len(findings)} finding(s) in {len(project.modules)} file(s)")
     return 1 if findings else 0
 
 

@@ -13,9 +13,9 @@ class Finding:
         path: Repo-relative (or invocation-relative) file path.
         line: 1-based line the finding anchors to (0 = whole file).
         col: 0-based column.
-        code: Checker code (``RL001`` ... ``RL007``).
-        message: Human-readable description; kept free of line numbers so
-            baseline fingerprints survive unrelated edits.
+        code: Checker code (``RL001`` ... ``RL012``).
+        message: Human-readable description; the location lives in
+            ``line``/``col``, not in the text.
     """
 
     path: str
@@ -27,11 +27,6 @@ class Finding:
     def render(self) -> str:
         """The canonical one-line form: ``path:line:col CODE message``."""
         return f"{self.path}:{self.line}:{self.col} {self.code} {self.message}"
-
-    @property
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Line-independent identity used for baseline matching."""
-        return (self.path, self.code, self.message)
 
     def to_dict(self) -> dict:
         return {

@@ -1,4 +1,4 @@
-"""Fixture-tree tests for every repro.lint checker (RL001-RL008).
+"""Fixture-tree tests for every repro.lint checker (RL001-RL012).
 
 Each test builds a minimal ``src/repro`` tree on disk, runs one checker
 over it, and asserts the checker fires (positive) or stays silent
@@ -919,184 +919,6 @@ class TestLockOrder:
         assert findings == []
 
 
-# ---------------------------------------------------------------- RL010
-
-
-class TestResourceLifecycle:
-    def test_early_return_leaks_segment(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/shm.py": """\
-                from multiprocessing import shared_memory
-
-                def grab(name, fast):
-                    seg = shared_memory.SharedMemory(
-                        name=name, create=True, size=8)
-                    if fast:
-                        return None
-                    seg.close()
-                    seg.unlink()
-            """,
-        }, "RL010")
-        assert len(findings) == 1
-        assert "close, unlink" in findings[0].message
-
-    def test_close_without_unlink_on_owner_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/shm.py": """\
-                from multiprocessing import shared_memory
-
-                def grab(name):
-                    seg = shared_memory.SharedMemory(
-                        name=name, create=True, size=8)
-                    seg.close()
-            """,
-        }, "RL010")
-        assert len(findings) == 1
-        assert "unlink" in findings[0].message
-
-    def test_exception_path_leak_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/shm.py": """\
-                from multiprocessing import shared_memory
-
-                def grab(name, size):
-                    seg = shared_memory.SharedMemory(
-                        name=name, create=True, size=8)
-                    if size < 0:
-                        raise ValueError(str(size))
-                    seg.close()
-                    seg.unlink()
-            """,
-        }, "RL010")
-        assert len(findings) == 1
-
-    def test_try_finally_cleanup_clean(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/shm.py": """\
-                from multiprocessing import shared_memory
-
-                def grab(name, fill):
-                    seg = shared_memory.SharedMemory(
-                        name=name, create=True, size=8)
-                    try:
-                        fill(seg)
-                    finally:
-                        seg.close()
-                        seg.unlink()
-            """,
-        }, "RL010")
-        assert findings == []
-
-    def test_escape_to_attribute_transfers_ownership(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/shm.py": """\
-                from multiprocessing import shared_memory
-
-                class Store:
-                    def _grow(self, name):
-                        segment = shared_memory.SharedMemory(
-                            name=name, create=True, size=8)
-                        self._segments.append(segment)
-            """,
-        }, "RL010")
-        assert findings == []
-
-    def test_attach_handle_needs_close_only(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/shm.py": """\
-                from multiprocessing import shared_memory
-
-                def peek(name):
-                    seg = shared_memory.SharedMemory(name=name)
-                    value = bytes(seg.buf[:1])
-                    seg.close()
-                    return value
-            """,
-        }, "RL010")
-        assert findings == []
-
-    def test_view_alive_when_buffer_closes_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/shm.py": """\
-                def snapshot(seg):
-                    view = memoryview(seg.buf)
-                    seg.close()
-                    view.release()
-            """,
-        }, "RL010")
-        assert len(findings) == 1
-        assert "release() first" in findings[0].message
-
-    def test_view_released_before_close_clean(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/shm.py": """\
-                def snapshot(seg):
-                    view = memoryview(seg.buf)
-                    view.release()
-                    seg.close()
-            """,
-        }, "RL010")
-        assert findings == []
-
-    def test_pool_without_shutdown_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/runner.py": """\
-                from concurrent.futures import ProcessPoolExecutor
-
-                def run(tasks):
-                    pool = ProcessPoolExecutor(max_workers=2)
-                    for task in tasks:
-                        pool.submit(task)
-            """,
-        }, "RL010")
-        assert len(findings) == 1
-        assert "shutdown" in findings[0].message
-
-    def test_with_statement_cleanup_clean(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/runner.py": """\
-                from concurrent.futures import ProcessPoolExecutor
-
-                def run(task):
-                    with ProcessPoolExecutor(max_workers=2) as pool:
-                        return pool.submit(task).result(timeout=30.0)
-            """,
-        }, "RL010")
-        assert findings == []
-
-    def test_global_publication_is_an_escape(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/runner.py": """\
-                from concurrent.futures import ProcessPoolExecutor
-
-                _POOL = None
-
-                def get_pool():
-                    global _POOL
-                    if _POOL is None:
-                        _POOL = ProcessPoolExecutor(max_workers=2)
-                    return _POOL
-            """,
-        }, "RL010")
-        assert findings == []
-
-    def test_rebind_while_obligated_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "src/repro/service/shm.py": """\
-                from multiprocessing import shared_memory
-
-                def churn(name):
-                    seg = shared_memory.SharedMemory(
-                        name=name, create=True, size=8)
-                    seg = shared_memory.SharedMemory(
-                        name=name + "b", create=True, size=8)
-                    seg.close()
-                    seg.unlink()
-            """,
-        }, "RL010")
-        assert len(findings) == 1
-
-
 # ---------------------------------------------------------------- RL011
 
 
@@ -1340,63 +1162,16 @@ class TestCrossProcessErrors:
         assert "Boom" in findings[0].message
 
 
-# ------------------------------------------------- negative sweep (RL009-12)
+# ------------------------------------------ negative sweep (RL009, RL011-12)
 
 
 class TestConcurrencyNegativeSweep:
-    """Property-style false-positive guard for the dataflow checkers.
+    """Property-style false-positive guard for the concurrency checkers.
 
     Generates structurally varied *correct* modules — consistently
-    ordered locks, resources cleaned through every supported pattern,
-    locked shared state, taxonomy-safe worker errors — and asserts all
-    four checkers stay silent on every permutation.
+    ordered locks, locked shared state, taxonomy-safe worker errors —
+    and asserts all three checkers stay silent on every permutation.
     """
-
-    CLEANUP_PATTERNS = [
-        # try/finally
-        """\
-            def use_{i}(name, fill):
-                seg = shared_memory.SharedMemory(
-                    name=name, create=True, size=8)
-                try:
-                    fill(seg)
-                finally:
-                    seg.close()
-                    seg.unlink()
-        """,
-        # straight-line cleanup
-        """\
-            def use_{i}(name):
-                seg = shared_memory.SharedMemory(
-                    name=name, create=True, size=8)
-                seg.close()
-                seg.unlink()
-        """,
-        # ownership handoff via return
-        """\
-            def use_{i}(name):
-                seg = shared_memory.SharedMemory(
-                    name=name, create=True, size=8)
-                return seg
-        """,
-        # ownership handoff via call argument
-        """\
-            def use_{i}(name, registry):
-                seg = shared_memory.SharedMemory(
-                    name=name, create=True, size=8)
-                registry.adopt(seg)
-        """,
-        # view released before close, then full cleanup
-        """\
-            def use_{i}(name):
-                seg = shared_memory.SharedMemory(
-                    name=name, create=True, size=8)
-                view = memoryview(seg.buf)
-                view.release()
-                seg.close()
-                seg.unlink()
-        """,
-    ]
 
     @pytest.mark.parametrize("ordering", [
         ("alpha", "beta", "gamma"),
@@ -1422,14 +1197,6 @@ class TestConcurrencyNegativeSweep:
         source = "import threading\n\n" + decls + "\n\n" + "\n\n".join(chains)
         findings = lint_tree(
             tmp_path, {"src/repro/service/ordered.py": source}, "RL009")
-        assert findings == [], [f.render() for f in findings]
-
-    @pytest.mark.parametrize("index", range(len(CLEANUP_PATTERNS)))
-    def test_correctly_released_resources_stay_clean(self, tmp_path, index):
-        pattern = textwrap.dedent(self.CLEANUP_PATTERNS[index]).format(i=index)
-        source = "from multiprocessing import shared_memory\n\n" + pattern
-        findings = lint_tree(
-            tmp_path, {"src/repro/service/shm.py": source}, "RL010")
         assert findings == [], [f.render() for f in findings]
 
     def test_all_checkers_silent_on_correct_concurrent_module(self, tmp_path):
@@ -1472,7 +1239,7 @@ class TestConcurrencyNegativeSweep:
                         self._stop.set()
             """,
             "src/repro/service/pool.py": """\
-                from multiprocessing import Process, shared_memory
+                from multiprocessing import Process
 
                 from repro.errors import WorkerFault
 
@@ -1482,19 +1249,13 @@ class TestConcurrencyNegativeSweep:
                         raise WorkerFault(index)
 
                 def start(index, inbox):
-                    flag = shared_memory.SharedMemory(
-                        name=f"flag-{index}", create=True, size=1)
-                    try:
-                        proc = Process(target=_worker, args=(index, inbox))
-                        proc.start()
-                        return proc
-                    finally:
-                        flag.close()
-                        flag.unlink()
+                    proc = Process(target=_worker, args=(index, inbox))
+                    proc.start()
+                    return proc
             """,
         }
         src = make_tree(tmp_path, files)
         new = [c for c in all_checkers()
-               if c.code in ("RL009", "RL010", "RL011", "RL012")]
+               if c.code in ("RL009", "RL011", "RL012")]
         findings = run_checkers(load_project([src]), new)
         assert findings == [], [f.render() for f in findings]

@@ -1,7 +1,7 @@
 """CLI smoke tests: ``python -m repro.lint`` / ``sdp-bench lint``.
 
 Exercises the driver through its public ``main(argv)`` entry points —
-exit codes, text/JSON output, baseline suppression, and the delegation
+exit codes, text/JSON output, checker selection, and the delegation
 from ``sdp-bench lint``. A seeded fixture tree provides a reliably dirty
 target; the repo's own clean-tree behavior is covered by
 ``test_lint_clean.py``.
@@ -65,28 +65,6 @@ def test_json_format_is_parseable(dirty_tree, capsys):
     assert set(first) == {"path", "line", "col", "code", "message"}
 
 
-def test_write_then_apply_baseline_suppresses(dirty_tree, tmp_path, capsys):
-    baseline = tmp_path / "lint-baseline.json"
-    assert lint_main([str(dirty_tree), "--write-baseline", str(baseline)]) == 0
-    capsys.readouterr()
-
-    assert lint_main([str(dirty_tree), "--baseline", str(baseline)]) == 0
-    out = capsys.readouterr().out
-    assert "2 baselined" in out
-
-    # A fresh finding is NOT hidden by the stale baseline.
-    extra = dirty_tree / "repro" / "cost" / "worse.py"
-    extra.write_text("from repro.service.service import OptimizationService\n")
-    assert lint_main([str(dirty_tree), "--baseline", str(baseline)]) == 1
-
-
-def test_bad_baseline_is_usage_error(dirty_tree, tmp_path, capsys):
-    bogus = tmp_path / "bogus.json"
-    bogus.write_text("{not json")
-    assert lint_main([str(dirty_tree), "--baseline", str(bogus)]) == 2
-    assert "bad baseline" in capsys.readouterr().err
-
-
 def test_missing_path_is_usage_error(tmp_path, capsys):
     assert lint_main([str(tmp_path / "nope")]) == 2
     err = capsys.readouterr().err
@@ -124,7 +102,7 @@ def test_list_prints_all_codes(capsys):
     out = capsys.readouterr().out
     for code in (
         "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-        "RL008", "RL009", "RL010", "RL011", "RL012",
+        "RL008", "RL009", "RL011", "RL012",
     ):
         assert code in out
 
@@ -135,7 +113,7 @@ def test_only_restricts_to_selected_checkers(dirty_tree, capsys):
     out = capsys.readouterr().out
     assert "RL003" in out and "RL001" not in out
 
-    assert lint_main([str(dirty_tree), "--only", "RL009,RL010"]) == 0
+    assert lint_main([str(dirty_tree), "--only", "RL009,RL011"]) == 0
 
 
 def test_skip_drops_selected_checkers(dirty_tree, capsys):
@@ -151,19 +129,6 @@ def test_unknown_checker_code_is_usage_error(dirty_tree, capsys):
     assert "unknown checker code" in capsys.readouterr().err
     assert lint_main([str(dirty_tree), "--skip", "nope"]) == 2
     assert "unknown checker code" in capsys.readouterr().err
-
-
-def test_jobs_parallel_parse_matches_serial(dirty_tree, capsys):
-    assert lint_main([str(dirty_tree)]) == 1
-    serial = capsys.readouterr().out
-    assert lint_main([str(dirty_tree), "--jobs", "4"]) == 1
-    parallel = capsys.readouterr().out
-    assert parallel == serial
-
-
-def test_bad_jobs_value_is_usage_error(dirty_tree, capsys):
-    assert lint_main([str(dirty_tree), "--jobs", "0"]) == 2
-    assert "--jobs" in capsys.readouterr().err
 
 
 def test_sdp_bench_lint_delegates(dirty_tree, clean_tree, capsys):

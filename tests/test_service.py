@@ -468,6 +468,33 @@ class TestOptimizeMany:
             assert _grid_keys(grid) == serial
         assert executor._POOL is not None and executor._POOL is not broken
 
+    def test_pool_lifecycle_shutdown_and_growth(
+        self, monkeypatch, small_schema, small_stats
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        queries = [make_star_query(small_schema, n) for n in (4, 5, 6)]
+        techniques = ["SDP", "GOO"]
+        serial = _grid_keys(
+            optimize_many(queries, techniques, stats=small_stats, workers=1)
+        )
+        executor.shutdown_pool()
+        executor.shutdown_pool()  # idempotent
+        assert executor._POOL is None
+
+        two = executor._get_pool(2)
+        assert executor._get_pool(2) is two
+        three = executor._get_pool(3)
+        assert three is not two and executor._POOL_WORKERS == 3
+        with pytest.raises(RuntimeError):
+            two.submit(os.getpid)  # the outgrown executor was shut down
+        assert executor._get_pool(2) is three  # grown, never shrunk
+
+        executor.shutdown_pool()
+        assert executor._POOL is None
+        grid = optimize_many(queries, techniques, stats=small_stats, workers=2)
+        assert _grid_keys(grid) == serial
+        assert executor._POOL is not None and executor._POOL_WORKERS == 2
+
     def test_budget_error_survives_pickling(self):
         error = OptimizationBudgetExceeded("costing", 10, 11)
         clone = pickle.loads(pickle.dumps(error))
